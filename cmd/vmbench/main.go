@@ -7,6 +7,9 @@
 // ns/reference) plus the allocation rate (allocs/reference, which should
 // be ~0: the engine's steady state is allocation-free). It then times one
 // paper-style cache-size sweep to capture parallel sweep wall-clock.
+// Multicore cluster and OS-kernel costs are measured per policy by the
+// hostbench ledger (sim.cluster_ns_per_ref, oskernel.touch_ns; see
+// hostbench/README.md), not here.
 //
 // Usage:
 //
@@ -60,20 +63,6 @@ type sweepBench struct {
 	Speedup      float64 `json:"speedup_vs_serial"`
 }
 
-// multicoreBench is one core count's measured cluster throughput: the
-// same instruction budget replayed through the multicore engine under a
-// demand-paging OS policy with a bounded frame budget, so the timed
-// path includes the kernel, page faults, and TLB shootdowns.
-type multicoreBench struct {
-	Cores      int     `json:"cores"`
-	Policy     string  `json:"policy"`
-	References int     `json:"references"`
-	NsPerRef   float64 `json:"ns_per_ref"`
-	RefsPerSec float64 `json:"refs_per_sec"`
-	PageFaults uint64  `json:"page_faults"`
-	Shootdowns uint64  `json:"shootdowns"`
-}
-
 // traceLoadBench times loading the same reference stream from one
 // on-disk format through the auto-detecting OpenTraceFile path.
 type traceLoadBench struct {
@@ -96,7 +85,6 @@ type report struct {
 	Seed      uint64           `json:"seed"`
 	Engines   []engineBench    `json:"engines"`
 	Sweep     []sweepBench     `json:"sweep,omitempty"`
-	Multicore []multicoreBench `json:"multicore,omitempty"`
 	TraceLoad []traceLoadBench `json:"trace_load,omitempty"`
 }
 
@@ -111,7 +99,6 @@ func main() {
 		runs      = flag.Int("runs", 3, "timed runs per organization (median reported)")
 		out       = flag.String("o", "BENCH_sim.json", "output path ('-' = stdout only)")
 		doSweep   = flag.Bool("sweep", true, "also time one paper-style L1-size sweep")
-		doMC      = flag.Bool("multicore", true, "also time the multicore scaling series (cores 1/2/4)")
 		workers   = flag.Int("workers", 0, "sweep workers (0 = GOMAXPROCS)")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the measured runs to this file")
 		ver       = flag.Bool("version", false, "print the engine version and exit")
@@ -174,7 +161,7 @@ func main() {
 	}
 
 	rep := report{
-		Schema:    "mmusim-bench/v3",
+		Schema:    "mmusim-bench/v4",
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
@@ -284,52 +271,6 @@ func main() {
 		}
 
 		rep.TraceLoad = timeTraceLoads(tmp, *bench, tr, fail)
-	}
-
-	if *doMC {
-		// The multicore scaling series holds the instruction budget fixed
-		// and grows the cluster, so ns/ref tracks the per-reference cost
-		// of the kernel, demand paging, and shootdown traffic as cores
-		// are added. LRU under a bounded budget keeps all three hot.
-		const mcPolicy = "lru"
-		for _, cores := range []int{1, 2, 4} {
-			mcTr, err := mmusim.Multicore([]string{*bench}, *seed, cores, *n, 50_000)
-			if err != nil {
-				fail(err)
-			}
-			cfg := configFor(strings.TrimSpace(vmList[0]))
-			cfg.Seed = *seed
-			cfg.Cores = cores
-			cfg.OSPolicy = mcPolicy
-			cfg.MemFrames = 256
-			cfg.ShootdownCost = 60
-			res, err := mmusim.Simulate(cfg, mcTr)
-			if err != nil {
-				fail(err)
-			}
-			times := make([]float64, *runs)
-			for i := range times {
-				start := time.Now()
-				if _, err := mmusim.Simulate(cfg, mcTr); err != nil {
-					fail(err)
-				}
-				times[i] = time.Since(start).Seconds()
-			}
-			sort.Float64s(times)
-			median := times[len(times)/2]
-			mb := multicoreBench{
-				Cores:      cores,
-				Policy:     mcPolicy,
-				References: mcTr.Len(),
-				NsPerRef:   median * 1e9 / float64(mcTr.Len()),
-				RefsPerSec: float64(mcTr.Len()) / median,
-				PageFaults: res.Counters.Events[mmusim.EventPageFault],
-				Shootdowns: res.Counters.Events[mmusim.EventShootdown],
-			}
-			rep.Multicore = append(rep.Multicore, mb)
-			fmt.Fprintf(os.Stderr, "vmbench: multicore %d cores %7.2f ns/ref  %6.1f Mref/s  %d faults  %d shootdowns\n",
-				mb.Cores, mb.NsPerRef, mb.RefsPerSec/1e6, mb.PageFaults, mb.Shootdowns)
-		}
 	}
 
 	enc, err := json.MarshalIndent(&rep, "", "  ")

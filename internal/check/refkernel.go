@@ -189,8 +189,9 @@ func (k *refKernel) victim() (uint64, bool) {
 		for i := range k.pages {
 			keys[i] = k.pages[i].key
 		}
-		// Naive selection sort up to index n — the model avoids the
-		// library sort the kernel uses.
+		// Naive selection sort up to index n, redone from scratch on
+		// every eviction — independent of the sorted key slice the
+		// kernel maintains incrementally.
 		for i := 0; i <= n; i++ {
 			min := i
 			for j := i + 1; j < len(keys); j++ {

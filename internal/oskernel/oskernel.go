@@ -7,7 +7,7 @@
 // simulation subject. A Kernel tracks which (address space, virtual
 // page) pairs are resident under a bounded frame budget, charges a page
 // fault when a non-resident page is touched, and — when the budget is
-// full — asks its replacement Policy for a victim. Evicting a victim
+// full — asks its replacement policy for a victim. Evicting a victim
 // unmaps it everywhere: the engine propagates the eviction to every
 // core's TLBs as a shootdown (see internal/sim).
 //
@@ -20,14 +20,14 @@
 // victim sequence.
 //
 // The OS observes memory at page-fault granularity only: a Touch is a
-// TLB-hierarchy miss, not a load. Recency state (LRU stamps, clock
+// TLB-hierarchy miss, not a load. Recency state (LRU order, clock
 // reference bits) therefore updates per miss, never per reference —
 // a real OS cannot see TLB hits either.
 package oskernel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/simerr"
@@ -48,28 +48,6 @@ func pageOf(key uint64) Page {
 	return Page{ASID: uint8(key >> 32), VPN: key & (1<<32 - 1)}
 }
 
-// Policy is a pluggable page-replacement policy. The Kernel owns the
-// residency bookkeeping and the frame budget; the policy owns only the
-// ordering state needed to pick victims. Implementations are driven
-// single-threaded.
-type Policy interface {
-	// Name returns the registry name.
-	Name() string
-	// ChargesFaults reports whether a non-resident touch costs a page
-	// fault. First-touch allocation is free (the paper's model); demand
-	// paging is not.
-	ChargesFaults() bool
-	// Touched notifies the policy that a resident page was touched
-	// (recency update).
-	Touched(key uint64)
-	// Admitted notifies the policy that a page became resident.
-	Admitted(key uint64)
-	// Victim selects and removes the next page to evict. ok is false
-	// when the policy never evicts (first-touch), which under a full
-	// budget means the memory is exhausted.
-	Victim() (key uint64, ok bool)
-}
-
 // KernelSeedSalt derives the random policy's rng stream from the
 // configuration seed, exactly as the engine derives its per-TLB
 // streams. internal/check shares this constant on purpose — victim
@@ -77,66 +55,89 @@ type Policy interface {
 // draw the same stream.
 const KernelSeedSalt = 0x4744
 
+// policy enumerates the replacement policies, in registry order.
+type policy uint8
+
+const (
+	firstTouch policy = iota // never evicts; faults are free
+	roundRobin               // FIFO: evict in admission order
+	random                   // the Intn(n)-th smallest resident key
+	lru                      // the least recently touched page
+	clock                    // second chance over the slot ring
+)
+
+var policyNames = [...]string{"first-touch", "round-robin", "random", "lru", "clock"}
+
 // Policies lists the registered policy names in presentation order.
 // "first-touch" is the default and reproduces the paper's model.
-func Policies() []string {
-	return []string{"first-touch", "round-robin", "random", "lru", "clock"}
-}
+func Policies() []string { return slices.Clone(policyNames[:]) }
 
-// newPolicy constructs a registered policy.
-func newPolicy(name string, seed uint64) (Policy, error) {
-	switch name {
-	case "", "first-touch":
-		return firstTouch{}, nil
-	case "round-robin":
-		return &roundRobin{}, nil
-	case "random":
-		return &randomPolicy{
-			rnd:      rng.New(seed ^ KernelSeedSalt),
-			resident: make(map[uint64]struct{}),
-		}, nil
-	case "lru":
-		return &lru{stamp: make(map[uint64]uint64)}, nil
-	case "clock":
-		return &clock{slot: make(map[uint64]int)}, nil
-	default:
-		return nil, fmt.Errorf("oskernel: unknown policy %q (have %v)", name, Policies())
-	}
-}
-
-// Kernel is the simulated OS memory manager: a resident-set map, a
+// Kernel is the simulated OS memory manager: a resident set under a
 // frame budget, and a replacement policy.
+//
+// All state is indexed by frame slot. Resident pages fill slots
+// 0..n-1 in admission order; an eviction happens only when memory is
+// full, and the admitted page takes the victim's slot, so a slot keeps
+// its index for the rest of the run. Each policy is then a flat
+// structure over slots, every touch costs O(1) — O(log n) plus a short
+// copy for random — and a full kernel never allocates. Per-slot slices
+// grow only as pages become resident, never with the budget.
 type Kernel struct {
-	pol      Policy
-	frames   int // 0 = unbounded
-	resident map[uint64]struct{}
-	faults   uint64
-	evicts   uint64
+	pol    policy
+	frames int // 0 = unbounded
+
+	slot map[uint64]int32 // resident key → slot
+	keys []uint64         // slot → resident key
+
+	// hand is the next slot round-robin and clock consider; ref is the
+	// per-slot reference bit, which only clock sets, so round-robin is
+	// the clock sweep with every second chance spent.
+	hand int
+	ref  []bool
+
+	// prev and next link lru's circular recency list. Node 0 is the
+	// sentinel and slot s is node s+1: next[0] is the least recently
+	// touched slot's node, prev[0] the most recent.
+	prev, next []int32
+
+	// sorted holds random's resident keys: in admission order while
+	// memory fills, sorted once at the first eviction, and kept in
+	// ascending order from then on.
+	sorted []uint64
+	rnd    rng.Source
+
+	faults, evicts uint64
 }
 
 // New builds a kernel for the named policy. frames bounds the number of
 // simultaneously resident pages; 0 means unbounded. seed feeds the
 // random policy's stream and is ignored by the rest.
-func New(policy string, frames int, seed uint64) (*Kernel, error) {
+func New(name string, frames int, seed uint64) (*Kernel, error) {
 	if frames < 0 {
 		return nil, fmt.Errorf("oskernel: negative frame budget %d", frames)
 	}
-	pol, err := newPolicy(policy, seed)
-	if err != nil {
-		return nil, err
+	if name == "" {
+		name = policyNames[firstTouch]
 	}
-	return &Kernel{
-		pol:      pol,
-		frames:   frames,
-		resident: make(map[uint64]struct{}),
-	}, nil
+	i := slices.Index(policyNames[:], name)
+	if i < 0 {
+		return nil, fmt.Errorf("oskernel: unknown policy %q (have %v)", name, Policies())
+	}
+	k := &Kernel{pol: policy(i), frames: frames, slot: make(map[uint64]int32)}
+	switch k.pol {
+	case random:
+		k.rnd.Seed(seed ^ KernelSeedSalt)
+	case lru:
+		k.prev, k.next = []int32{0}, []int32{0}
+	}
+	return k, nil
 }
 
 // Policy returns the active policy's name.
-func (k *Kernel) Policy() string { return k.pol.Name() }
+func (k *Kernel) Policy() string { return policyNames[k.pol] }
 
 // Resident returns the number of currently resident pages.
-func (k *Kernel) Resident() int { return len(k.resident) }
+func (k *Kernel) Resident() int { return len(k.keys) }
 
 // Faults and Evictions expose lifetime totals for tests; the engine's
 // warmup-aware counters are authoritative for results.
@@ -150,207 +151,112 @@ func (k *Kernel) Evictions() uint64 { return k.evicts }
 // an error wrapping simerr.ErrMemExhausted.
 func (k *Kernel) Touch(asid uint8, vpn uint64) (evicted Page, haveEvict, fault bool, err error) {
 	key := Page{ASID: asid, VPN: vpn}.key()
-	if _, ok := k.resident[key]; ok {
-		k.pol.Touched(key)
+	if s, ok := k.slot[key]; ok {
+		k.touched(s)
 		return Page{}, false, false, nil
 	}
-	fault = k.pol.ChargesFaults()
+	fault = k.pol != firstTouch
 	if fault {
 		k.faults++
 	}
-	if k.frames > 0 && len(k.resident) >= k.frames {
-		vk, ok := k.pol.Victim()
-		if !ok {
+	s := int32(len(k.keys))
+	if k.frames > 0 && len(k.keys) >= k.frames {
+		if k.pol == firstTouch {
 			return Page{}, false, fault, fmt.Errorf(
 				"oskernel: %s policy over %d frames cannot place page asid=%d vpn=%#x: %w",
-				k.pol.Name(), k.frames, asid, vpn, simerr.ErrMemExhausted)
+				k.Policy(), k.frames, asid, vpn, simerr.ErrMemExhausted)
 		}
-		delete(k.resident, vk)
+		s = k.victim()
+		vk := k.keys[s]
+		delete(k.slot, vk)
+		k.keys[s] = key
 		k.evicts++
 		evicted, haveEvict = pageOf(vk), true
+	} else {
+		k.keys = append(k.keys, key)
 	}
-	k.resident[key] = struct{}{}
-	k.pol.Admitted(key)
+	k.slot[key] = s
+	k.admit(s, key)
 	return evicted, haveEvict, fault, nil
 }
 
-// --- first-touch ------------------------------------------------------
-
-// firstTouch is the paper's model: pages are allocated on first touch,
-// for free, and never reclaimed.
-type firstTouch struct{}
-
-func (firstTouch) Name() string           { return "first-touch" }
-func (firstTouch) ChargesFaults() bool    { return false }
-func (firstTouch) Touched(uint64)         {}
-func (firstTouch) Admitted(uint64)        {}
-func (firstTouch) Victim() (uint64, bool) { return 0, false }
-
-// --- round-robin ------------------------------------------------------
-
-// roundRobin evicts frames in admission order — a FIFO rotation over
-// the frame ring.
-type roundRobin struct {
-	fifo []uint64
-	head int
-}
-
-func (*roundRobin) Name() string        { return "round-robin" }
-func (*roundRobin) ChargesFaults() bool { return true }
-func (*roundRobin) Touched(uint64)      {}
-
-func (p *roundRobin) Admitted(key uint64) {
-	// Compact the consumed prefix occasionally so the queue stays
-	// bounded by the resident count, not the fault count.
-	if p.head > 0 && p.head*2 >= len(p.fifo) {
-		p.fifo = append(p.fifo[:0], p.fifo[p.head:]...)
-		p.head = 0
+// touched refreshes the recency state of resident slot s.
+func (k *Kernel) touched(s int32) {
+	switch k.pol {
+	case lru:
+		if n := s + 1; k.prev[0] != n {
+			k.unlink(n)
+			k.pushMRU(n)
+		}
+	case clock:
+		k.ref[s] = true
 	}
-	p.fifo = append(p.fifo, key)
 }
 
-func (p *roundRobin) Victim() (uint64, bool) {
-	if p.head >= len(p.fifo) {
-		return 0, false
-	}
-	v := p.fifo[p.head]
-	p.head++
-	return v, true
-}
-
-// --- random -----------------------------------------------------------
-
-// randomPolicy evicts a uniformly random resident page. The victim is
-// defined as the Intn(n)-th smallest resident key — an
-// implementation-independent spec, so the engine and the reference
-// model agree given the same rng stream.
-type randomPolicy struct {
-	rnd      *rng.Source
-	resident map[uint64]struct{}
-}
-
-func (*randomPolicy) Name() string        { return "random" }
-func (*randomPolicy) ChargesFaults() bool { return true }
-func (*randomPolicy) Touched(uint64)      {}
-
-func (p *randomPolicy) Admitted(key uint64) { p.resident[key] = struct{}{} }
-
-func (p *randomPolicy) Victim() (uint64, bool) {
-	if len(p.resident) == 0 {
-		return 0, false
-	}
-	keys := make([]uint64, 0, len(p.resident))
-	for k := range p.resident {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	v := keys[p.rnd.Intn(len(keys))]
-	delete(p.resident, v)
-	return v, true
-}
-
-// --- lru --------------------------------------------------------------
-
-// lru evicts the page whose last touch is oldest. Touches are
-// TLB-hierarchy misses, so this is miss-LRU, not reference-LRU — the
-// OS cannot observe TLB hits. Stamps are unique (a monotone counter),
-// so there are never ties to break.
-type lru struct {
-	stamp map[uint64]uint64
-	tick  uint64
-}
-
-func (*lru) Name() string        { return "lru" }
-func (*lru) ChargesFaults() bool { return true }
-
-func (p *lru) Touched(key uint64) {
-	p.tick++
-	p.stamp[key] = p.tick
-}
-
-func (p *lru) Admitted(key uint64) {
-	p.tick++
-	p.stamp[key] = p.tick
-}
-
-func (p *lru) Victim() (uint64, bool) {
-	if len(p.stamp) == 0 {
-		return 0, false
-	}
-	var victim uint64
-	oldest := ^uint64(0)
-	for k, s := range p.stamp {
-		if s < oldest {
-			oldest, victim = s, k
+// admit records that key became resident in slot s: a fresh slot at
+// the end while memory fills, the victim's slot once it is full.
+func (k *Kernel) admit(s int32, key uint64) {
+	switch k.pol {
+	case roundRobin, clock:
+		bit := k.pol == clock
+		if int(s) == len(k.ref) {
+			k.ref = append(k.ref, bit)
+		} else {
+			k.ref[s] = bit
+		}
+	case lru:
+		if n := int(s) + 1; n == len(k.prev) {
+			k.prev, k.next = append(k.prev, 0), append(k.next, 0)
+		}
+		k.pushMRU(s + 1)
+	case random:
+		if k.evicts == 0 { // still filling: order does not matter yet
+			k.sorted = append(k.sorted, key)
+		} else {
+			i, _ := slices.BinarySearch(k.sorted, key)
+			k.sorted = slices.Insert(k.sorted, i, key)
 		}
 	}
-	delete(p.stamp, victim)
-	return victim, true
 }
 
-// --- clock ------------------------------------------------------------
-
-// clock is the classic second-chance ring: each resident page has a
-// reference bit set on touch; the hand sweeps, clearing bits, and
-// evicts the first unreferenced page it finds.
-type clock struct {
-	ring []clockEnt
-	slot map[uint64]int
-	hand int
-}
-
-type clockEnt struct {
-	key   uint64
-	valid bool
-	ref   bool
-}
-
-func (*clock) Name() string        { return "clock" }
-func (*clock) ChargesFaults() bool { return true }
-
-func (p *clock) Touched(key uint64) {
-	if i, ok := p.slot[key]; ok {
-		p.ring[i].ref = true
-	}
-}
-
-func (p *clock) Admitted(key uint64) {
-	// Reuse the slot Victim just vacated if there is one; grow the ring
-	// otherwise (the budget has not filled yet). The free slot, if any,
-	// is the one behind the hand — Victim advanced past it — so this
-	// scan is O(1) in the steady state.
-	for off := range p.ring {
-		i := (p.hand + len(p.ring) - 1 + off) % len(p.ring)
-		if !p.ring[i].valid {
-			p.ring[i] = clockEnt{key: key, valid: true, ref: true}
-			p.slot[key] = i
-			return
+// victim chooses the slot to evict from a full memory and drops it
+// from the policy's order; the caller reuses the slot for the admitted
+// page.
+func (k *Kernel) victim() int32 {
+	n := len(k.keys)
+	switch k.pol {
+	case lru:
+		v := k.next[0]
+		k.unlink(v)
+		return v - 1
+	case random:
+		if k.evicts == 0 { // memory has just filled
+			slices.Sort(k.sorted)
 		}
+		i := k.rnd.Intn(n)
+		v := k.sorted[i]
+		k.sorted = slices.Delete(k.sorted, i, i+1)
+		return k.slot[v]
+	default: // roundRobin, clock
+		for k.ref[k.hand] {
+			k.ref[k.hand] = false
+			k.hand = (k.hand + 1) % n
+		}
+		s := k.hand
+		k.hand = (s + 1) % n
+		return int32(s)
 	}
-	p.slot[key] = len(p.ring)
-	p.ring = append(p.ring, clockEnt{key: key, valid: true, ref: true})
 }
 
-func (p *clock) Victim() (uint64, bool) {
-	valid := 0
-	for i := range p.ring {
-		if p.ring[i].valid {
-			valid++
-		}
-	}
-	if valid == 0 {
-		return 0, false
-	}
-	for {
-		e := &p.ring[p.hand]
-		if e.valid && !e.ref {
-			v := e.key
-			delete(p.slot, v)
-			*e = clockEnt{}
-			p.hand = (p.hand + 1) % len(p.ring)
-			return v, true
-		}
-		e.ref = false
-		p.hand = (p.hand + 1) % len(p.ring)
-	}
+// unlink removes node n from lru's recency list.
+func (k *Kernel) unlink(n int32) {
+	p, q := k.prev[n], k.next[n]
+	k.next[p], k.prev[q] = q, p
+}
+
+// pushMRU links node n in as the most recently touched.
+func (k *Kernel) pushMRU(n int32) {
+	p := k.prev[0]
+	k.prev[n], k.next[n] = p, 0
+	k.next[p], k.prev[0] = n, n
 }

@@ -2,7 +2,9 @@ package oskernel
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/rng"
 	"repro/internal/simerr"
@@ -187,6 +189,107 @@ func TestPoliciesListsDefaults(t *testing.T) {
 	for _, n := range names {
 		if _, err := New(n, 16, 1); err != nil {
 			t.Fatalf("registered policy %q failed to build: %v", n, err)
+		}
+	}
+}
+
+// TestTouchAllocationFree pins a full kernel to zero allocations for
+// every evicting policy. Each measured step touches a fresh page, which
+// faults, evicts and admits into the victim's slot, then touches it
+// again, which only refreshes recency. One measured run covers
+// thousands of steps, so a single allocation among them fails the pin
+// rather than averaging away.
+func TestTouchAllocationFree(t *testing.T) {
+	for _, policy := range []string{"round-robin", "random", "lru", "clock"} {
+		t.Run(policy, func(t *testing.T) {
+			k, err := New(policy, 256, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vpn := uint64(0)
+			step := func() (evicted bool) {
+				_, have, _ := touch(t, k, uint8(vpn%3), vpn*7)
+				if _, again, fault := touch(t, k, uint8(vpn%3), vpn*7); again || fault {
+					t.Fatalf("re-touch of a resident page evicted=%v faulted=%v", again, fault)
+				}
+				vpn++
+				return have
+			}
+			// Fill memory, then churn the slot index with a long scan.
+			for vpn < 100_000 {
+				step()
+			}
+			var evicts int
+			avg := testing.AllocsPerRun(1, func() {
+				for i := 0; i < 20_000; i++ {
+					if step() {
+						evicts++
+					}
+				}
+			})
+			if avg != 0 {
+				t.Errorf("%s: 20k evicting touches allocate %.0f objects, want 0", policy, avg)
+			}
+			if evicts != 40_000 {
+				t.Fatalf("%s: %d of 40000 fresh-page touches evicted", policy, evicts)
+			}
+		})
+	}
+}
+
+// TestNewCostIndependentOfBudget pins construction to a cost that does
+// not grow with the frame budget: per-slot state grows only as pages
+// become resident. sim.Config.Validate builds a throwaway kernel on
+// every call, so an oversized MemFrames must not cost memory there.
+func TestNewCostIndependentOfBudget(t *testing.T) {
+	cost := func(policy string, frames int) (allocs, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			if _, err := New(policy, frames, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	for _, policy := range Policies() {
+		cost(policy, 1<<40) // warm any lazily initialized runtime state
+		sa, sb := cost(policy, 256)
+		la, lb := cost(policy, 1<<40)
+		if sa != la || sb != lb {
+			t.Errorf("%s: 100 News cost %d allocs/%d bytes at 256 frames but %d/%d at 1<<40",
+				policy, sa, sb, la, lb)
+		}
+	}
+}
+
+// TestFillCostLinear pins filling F frames to O(F) for every policy:
+// filling 16x the frames must take far less than the 256x a quadratic
+// fill would.
+func TestFillCostLinear(t *testing.T) {
+	fill := func(policy string, frames int) time.Duration {
+		best := time.Duration(1 << 62)
+		for rep := 0; rep < 5; rep++ {
+			k, err := New(policy, frames, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			for i := 0; i < frames; i++ {
+				vpn := uint64(i) * 0x9E3779B1 % (1 << 32) // scrambled order
+				if _, _, _, err := k.Touch(uint8(i%3), vpn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	for _, policy := range Policies() {
+		small, large := fill(policy, 2_048), fill(policy, 32_768)
+		if ratio := float64(large) / float64(small); ratio > 64 {
+			t.Errorf("%s: filling 16x the frames took %.0fx as long (%v vs %v), want ~16x", policy, ratio, large, small)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -73,5 +74,46 @@ func TestRunSteadyStateAllocationFree(t *testing.T) {
 	})
 	if avg > 1 {
 		t.Errorf("steady-state Run allocates %.2f objects per replay, want <= 1 (the Result)", avg)
+	}
+}
+
+// TestMulticoreRerunAllocationFree extends the budget to the cluster
+// under demand paging: with the cores, the shared kernel (full, so
+// every fault evicts and shoots down) and the trace warm, a whole 4-core
+// replay may allocate only its Result and the PerCore slice.
+func TestMulticoreRerunAllocationFree(t *testing.T) {
+	tr := mcTrace(t, 4, 40_000)
+	for _, policy := range []string{"random", "lru"} {
+		t.Run(policy, func(t *testing.T) {
+			cfg := Default(VMUltrix)
+			cfg.WarmupInstrs = 0
+			cfg.Cores = 4
+			cfg.OSPolicy = policy
+			cfg.MemFrames = 256
+			cfg.ShootdownCost = 60
+			m, err := NewMulticore(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.Run(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Counters.Events[stats.Shootdown] == 0 {
+				t.Fatal("warm-up run fired no shootdowns; the pin would not cover eviction")
+			}
+			before := m.kern.Evictions()
+			avg := testing.AllocsPerRun(3, func() {
+				if _, err := m.Run(tr); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if m.kern.Evictions() == before {
+				t.Fatal("warm re-runs evicted nothing")
+			}
+			if avg > 2 {
+				t.Errorf("%s: warm 4-core Run allocates %.2f objects per replay, want <= 2 (Result, PerCore)", policy, avg)
+			}
+		})
 	}
 }
