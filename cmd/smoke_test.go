@@ -268,6 +268,27 @@ func TestVMSweepJournalResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestVMSweepMachineFileJournalResume: a sweep over a -machine spec
+// resumes from its journal, although each run parses the spec afresh.
+func TestVMSweepMachineFileJournalResume(t *testing.T) {
+	jdir := filepath.Join(t.TempDir(), "journal")
+	args := []string{"-machine", "../machines/ultrix.json", "-bench", "gcc", "-n", "5000", "-l1", "paper", "-journal", jdir}
+	first, errOut, code := run(t, "vmsweep", args...)
+	if code != 0 {
+		t.Fatalf("journalled run: exit %d, stderr: %s", code, errOut)
+	}
+	resumed, errOut, code := run(t, "vmsweep", append(args, "-resume")...)
+	if code != 0 {
+		t.Fatalf("resumed run: exit %d, stderr: %s", code, errOut)
+	}
+	if resumed != first {
+		t.Fatalf("resumed CSV is not byte-identical:\n%s\nvs\n%s", resumed, first)
+	}
+	if !strings.Contains(errOut, "8 of 8 points replayed from journal") {
+		t.Errorf("resume re-simulated journalled points: %s", errOut)
+	}
+}
+
 func TestVMSweepTimeoutFailuresExitThree(t *testing.T) {
 	out, errOut, code := run(t, "vmsweep",
 		"-bench", "gcc", "-n", "50000", "-vms", "ultrix", "-timeout", "1ns")

@@ -109,7 +109,14 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// init initializes c in place (New for an embedded Cache).
+// Reset re-initializes c for cfg in place: afterwards c behaves exactly
+// as New(cfg) would, but c's arrays are reused whenever they have the
+// room, so one cache serves a run of geometries without allocating. It
+// panics on an invalid configuration, as New does.
+func (c *Cache) Reset(cfg Config) { c.init(cfg) }
+
+// init initializes c in place (New for an embedded Cache), reusing c's
+// arrays when they have the room.
 func (c *Cache) init(cfg Config) {
 	if cfg.Assoc == 0 {
 		cfg.Assoc = 1
@@ -120,21 +127,38 @@ func (c *Cache) init(cfg Config) {
 	nLines := cfg.SizeBytes / cfg.LineBytes
 	nSets := nLines / cfg.Assoc
 	lineShift, setMask := addr.IndexShiftMask(uint64(cfg.LineBytes), uint64(nSets))
+	age := c.age
 	*c = Cache{
 		cfg:       cfg,
 		lineShift: lineShift,
 		setMask:   setMask,
 		assoc:     cfg.Assoc,
-		lines:     make([]uint64, nLines),
+		lines:     zeroed(c.lines, nLines),
 	}
 	if cfg.Assoc > 1 {
-		c.age = make([]uint64, nLines)
-		c.fast = []uint64{0}
+		c.age = zeroed(age, nLines)
+		c.fast = neverHits
 		c.fastMask = 0
 	} else {
+		c.age = age[:0] // kept for a later set-associative Reset
 		c.fast = c.lines
 		c.fastMask = c.setMask
 	}
+}
+
+// neverHits is the fast-probe array of every set-associative cache: one
+// permanently invalid slot, only ever read.
+var neverHits = []uint64{0}
+
+// zeroed returns buf cut to n entries and cleared, or a new array when
+// buf has not the room.
+func zeroed(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Config returns the configuration the cache was built with.

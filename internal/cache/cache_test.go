@@ -316,6 +316,47 @@ func TestLevelString(t *testing.T) {
 	}
 }
 
+// TestResetMatchesNew drives one cache through a run of geometries, each
+// after a Reset, beside a fresh New cache: every access must answer
+// alike, and a Reset into arrays that have the room allocates nothing.
+// A geometry repeated at once finds every line it left behind, so a
+// Reset that kept any contents or LRU ages would hit where New misses.
+func TestResetMatchesNew(t *testing.T) {
+	geoms := []Config{
+		{SizeBytes: 8192, LineBytes: 16},
+		{SizeBytes: 8192, LineBytes: 16},
+		{SizeBytes: 4096, LineBytes: 64, Assoc: 4},
+		{SizeBytes: 4096, LineBytes: 64, Assoc: 4},
+		{SizeBytes: 2048, LineBytes: 32},
+		{SizeBytes: 8192, LineBytes: 16, Assoc: 2},
+		{SizeBytes: 16384, LineBytes: 16},
+	}
+	r := rng.New(7)
+	addrs := make([]uint64, 20_000)
+	for i := range addrs {
+		addrs[i] = r.Uint64() & 0x1FFFF
+	}
+	var reused Cache
+	for _, cfg := range geoms {
+		reused.Reset(cfg)
+		fresh := New(cfg)
+		for i, a := range addrs {
+			if got, want := reused.Access(a), fresh.Access(a); got != want {
+				t.Fatalf("%+v access %d (%#x): Reset cache hit=%v, New cache hit=%v", cfg, i, a, got, want)
+			}
+		}
+		if reused.Stats() != fresh.Stats() || reused.Resident() != fresh.Resident() {
+			t.Fatalf("%+v: Reset cache %+v (%d resident), New cache %+v (%d resident)",
+				cfg, reused.Stats(), reused.Resident(), fresh.Stats(), fresh.Resident())
+		}
+	}
+	big, small := Config{SizeBytes: 16384, LineBytes: 16, Assoc: 2}, Config{SizeBytes: 4096, LineBytes: 32}
+	reused.Reset(big)
+	if n := testing.AllocsPerRun(20, func() { reused.Reset(small); reused.Reset(big) }); n != 0 {
+		t.Errorf("Reset into arrays with room allocates %.1f objects, want 0", n)
+	}
+}
+
 func TestNewPanicsOnInvalidConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {

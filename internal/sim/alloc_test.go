@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -113,6 +115,77 @@ func TestMulticoreRerunAllocationFree(t *testing.T) {
 			}
 			if avg > 2 {
 				t.Errorf("%s: warm 4-core Run allocates %.2f objects per replay, want <= 2 (Result, PerCore)", policy, avg)
+			}
+		})
+	}
+}
+
+// TestL2ReplayAllocationFree pins the shared-L1 path's memory: once a
+// log is warm, recording into it again allocates nothing beyond the run
+// itself; a follower on a log with no L2 caches yet allocates at most
+// its Result plus its L2 caches (one per side; one when unified); and a
+// follower whose L2 fits the log's caches allocates only its Result.
+func TestL2ReplayAllocationFree(t *testing.T) {
+	tr := tr(t, "gcc", 20_000)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name    string
+		assoc   int
+		unified bool
+	}{{"direct", 1, false}, {"4way", 4, false}, {"unified", 1, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Default(VMUltrix)
+			cfg.WarmupInstrs = 5_000
+			cfg.UnifiedCaches = tc.unified
+			var log L2Log
+			if _, err := SimulateRecord(ctx, cfg, tr, &log); err != nil {
+				t.Fatal(err)
+			}
+			// Enough runs that an allocation of the runtime's own (a GC
+			// cycle the large cache arrays trigger) rounds away.
+			const runs = 20
+			full := testing.AllocsPerRun(runs, func() {
+				if _, err := SimulateContext(ctx, cfg, tr); err != nil {
+					t.Fatal(err)
+				}
+			})
+			rec := testing.AllocsPerRun(runs, func() {
+				if _, err := SimulateRecord(ctx, cfg, tr, &log); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if rec > full {
+				t.Errorf("recording into a warm log allocates %.1f objects per run, the plain run %.1f", rec, full)
+			}
+
+			follower := cfg
+			follower.L2SizeBytes, follower.L2Assoc = 1<<20, tc.assoc
+			l2 := cache.Config{SizeBytes: follower.L2SizeBytes, LineBytes: follower.L2LineBytes, Assoc: follower.L2Assoc}
+			sides := 2.0
+			if tc.unified {
+				sides = 1
+			}
+			budget := 1 + sides*testing.AllocsPerRun(runs, func() { cache.New(l2) })
+			cold := testing.AllocsPerRun(runs, func() {
+				log.l2 = [2]cache.Cache{}
+				if _, err := ReplayL2(ctx, follower, &log); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if cold > budget {
+				t.Errorf("a follower on a log without L2 caches allocates %.1f objects, want <= %.1f (Result + L2 caches)", cold, budget)
+			}
+			smaller := follower
+			smaller.L2SizeBytes = 512 << 10
+			warm := testing.AllocsPerRun(runs, func() {
+				for _, c := range []Config{follower, smaller} {
+					if _, err := ReplayL2(ctx, c, &log); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if warm > 2 {
+				t.Errorf("two followers on a warm log allocate %.1f objects, want <= 2 (their Results)", warm)
 			}
 		})
 	}

@@ -331,13 +331,15 @@ func resolveProtectedSlots(r mmu.Refill, c Config) int {
 // own "mem" class — so sweep drivers can classify either as a
 // deterministic (never-retried) point error.
 func (c Config) Validate() error {
-	if err := c.validate(); err != nil {
-		if errors.Is(err, simerr.ErrConfigInvalid) || errors.Is(err, simerr.ErrMemExhausted) {
-			return err
-		}
-		return fmt.Errorf("%w: %w", simerr.ErrConfigInvalid, err)
+	return classifyInvalid(c.validate())
+}
+
+// classifyInvalid wraps a validation failure in its simerr class.
+func classifyInvalid(err error) error {
+	if err == nil || errors.Is(err, simerr.ErrConfigInvalid) || errors.Is(err, simerr.ErrMemExhausted) {
+		return err
 	}
-	return nil
+	return fmt.Errorf("%w: %w", simerr.ErrConfigInvalid, err)
 }
 
 // validate holds the actual checks, unwrapped.
@@ -350,12 +352,8 @@ func (c Config) validate() error {
 	if err := l1.Validate(); err != nil {
 		return fmt.Errorf("sim: L1: %w", err)
 	}
-	l2 := cache.Config{SizeBytes: c.L2SizeBytes, LineBytes: c.L2LineBytes, Assoc: c.L2Assoc}
-	if err := l2.Validate(); err != nil {
-		return fmt.Errorf("sim: L2: %w", err)
-	}
-	if c.L2SizeBytes < c.L1SizeBytes {
-		return fmt.Errorf("sim: L2 (%d) smaller than L1 (%d)", c.L2SizeBytes, c.L1SizeBytes)
+	if err := c.validateL2(); err != nil {
+		return err
 	}
 	if refill != nil && refill.UsesTLB() {
 		tc := tlb.Config{
@@ -388,6 +386,20 @@ func (c Config) validate() error {
 	}
 	if _, err := oskernel.New(c.osPolicyName(), c.MemFrames, c.Seed); err != nil {
 		return fmt.Errorf("sim: %w", err)
+	}
+	return nil
+}
+
+// validateL2 holds validate's checks of the L2 geometry, the only
+// fields in which configurations sharing an L1 stage differ (see
+// ShareKey).
+func (c Config) validateL2() error {
+	l2 := cache.Config{SizeBytes: c.L2SizeBytes, LineBytes: c.L2LineBytes, Assoc: c.L2Assoc}
+	if err := l2.Validate(); err != nil {
+		return fmt.Errorf("sim: L2: %w", err)
+	}
+	if c.L2SizeBytes < c.L1SizeBytes {
+		return fmt.Errorf("sim: L2 (%d) smaller than L1 (%d)", c.L2SizeBytes, c.L1SizeBytes)
 	}
 	return nil
 }

@@ -100,6 +100,11 @@ type Engine struct {
 	peers         []*Engine
 	shootdownCost uint64
 	kernErr       error
+
+	// l2log, when non-nil, records every access that leaves an L1 (see
+	// share.go): SimulateRecord sets it for one run. Only the L1-miss
+	// paths of runPhase, ExecHandler and PTELoad test it.
+	l2log *L2Log
 }
 
 // tlbKey composes the fully-associative TLB lookup key. With tagged TLBs
@@ -578,6 +583,9 @@ func (e *Engine) runPhase(refs []trace.Ref) {
 				}
 			} else {
 				lvl := e.icache.AccessMissedL1(userCacheAddr(r.ASID, r.PC))
+				if e.l2log != nil {
+					e.l2log.add(userCacheAddr(r.ASID, r.PC), stats.L2IMiss, false, lvl, live)
+				}
 				if lvl != cache.L1Hit && live {
 					e.c.Charge(stats.L1IMiss, stats.L1MissPenalty)
 					if lvl == cache.Memory {
@@ -621,6 +629,9 @@ func (e *Engine) runPhase(refs []trace.Ref) {
 			dhits++
 		} else {
 			lvl := e.dcache.AccessMissedL1(userCacheAddr(r.ASID, r.Data))
+			if e.l2log != nil {
+				e.l2log.add(userCacheAddr(r.ASID, r.Data), stats.L2DMiss, true, lvl, live)
+			}
 			if lvl != cache.L1Hit && live {
 				e.c.Charge(stats.L1DMiss, stats.L1MissPenalty)
 				if lvl == cache.Memory {
@@ -852,7 +863,13 @@ func (e *Engine) ExecHandler(comp stats.Component, pc uint64, n int, fetchesCode
 	}
 	for i := 0; i < n; i++ {
 		lvl := e.icache.Access(pc + uint64(i)*4)
-		if lvl != cache.L1Hit && e.live {
+		if lvl == cache.L1Hit {
+			continue
+		}
+		if e.l2log != nil {
+			e.l2log.add(pc+uint64(i)*4, stats.HandlerMem, false, lvl, e.live)
+		}
+		if e.live {
 			e.c.Charge(stats.HandlerL2, stats.L1MissPenalty)
 			if lvl == cache.Memory {
 				e.c.Charge(stats.HandlerMem, stats.L2MissPenalty)
@@ -864,7 +881,13 @@ func (e *Engine) ExecHandler(comp stats.Component, pc uint64, n int, fetchesCode
 // PTELoad runs a page-table-entry reference through the D-caches.
 func (e *Engine) PTELoad(a uint64, l2c, memc stats.Component) cache.Level {
 	lvl := e.dcache.Access(a)
-	if lvl != cache.L1Hit && e.live {
+	if lvl == cache.L1Hit {
+		return lvl
+	}
+	if e.l2log != nil {
+		e.l2log.add(a, memc, true, lvl, e.live)
+	}
+	if e.live {
 		e.c.Charge(l2c, stats.L1MissPenalty)
 		if lvl == cache.Memory {
 			e.c.Charge(memc, stats.L2MissPenalty)

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -47,4 +48,37 @@ func BenchmarkConfigsExpansion(b *testing.B) {
 			b.Fatal("empty expansion")
 		}
 	}
+}
+
+// BenchmarkSweepSharedL2 sweeps the figure 6–7 space (3 L2 sizes × 10
+// line-size pairs × 8 L1 sizes) for ultrix, whose points share L1
+// stages, and notlb, whose points may not, at 20k references.
+func BenchmarkSweepSharedL2(b *testing.B) {
+	tr := faultTrace(b, 20_000)
+	var cfgs []sim.Config
+	for _, vm := range []string{sim.VMUltrix, sim.VMNoTLB} {
+		for _, l2 := range PaperL2Sizes() {
+			for _, l1Line := range PaperLineSizes() {
+				for _, l2Line := range PaperLineSizes() {
+					if l2Line < l1Line {
+						continue
+					}
+					cfg := sim.Default(vm)
+					cfg.L2SizeBytes, cfg.L1LineBytes, cfg.L2LineBytes = l2, l1Line, l2Line
+					cfgs = append(cfgs, Space{Base: cfg, L1Sizes: PaperL1Sizes()}.Configs()...)
+				}
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		for _, pt := range Run(tr, cfgs, 0) {
+			if pt.Err != nil {
+				b.Fatal(pt.Err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.N*len(cfgs))/time.Since(start).Seconds(), "points/s")
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/simerr"
 	"repro/internal/stats"
@@ -94,9 +95,11 @@ type Options struct {
 // with cfgs. The trace is shared read-only across workers.
 //
 // Memory: a sweep holds one copy of the trace (shared by every worker)
-// plus one live engine per worker — cache and TLB arrays, typically a
-// few hundred KB per point — so peak memory is O(trace + workers), not
-// O(configurations). Results are two small structs per point.
+// plus, per worker, one live engine — cache and TLB arrays, typically a
+// few hundred KB per point — or the L2 caches of a replay, and one
+// reused L2 log (16 bytes per access that leaves an L1; DESIGN.md §8),
+// so peak memory is O(trace + workers), not O(configurations). Results
+// are two small structs per point.
 func Run(tr *trace.Trace, cfgs []sim.Config, workers int) []Point {
 	return RunContext(context.Background(), tr, cfgs, workers)
 }
@@ -123,9 +126,6 @@ func RunWithOptions(ctx context.Context, tr *trace.Trace, cfgs []sim.Config, opt
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
 	}
 	points := make([]Point, len(cfgs))
 	if len(cfgs) == 0 {
@@ -174,6 +174,10 @@ func RunWithOptions(ctx context.Context, tr *trace.Trace, cfgs []sim.Config, opt
 			return nil, err
 		}
 	}
+	groups := shareGroups(cfgs, skip)
+	if workers > len(groups) {
+		workers = len(groups)
+	}
 	// The first journal-append failure is latched and reported once the
 	// sweep drains; the points themselves are unaffected.
 	var jerrOnce sync.Once
@@ -203,8 +207,9 @@ func RunWithOptions(ctx context.Context, tr *trace.Trace, cfgs []sim.Config, opt
 		}()
 	}
 
-	// attemptOnce runs one attempt of point i under its own deadline.
-	attemptOnce := func(i, attempt int) (p Point) {
+	// attemptOnce runs one attempt of point i under its own deadline,
+	// simulating it with run.
+	attemptOnce := func(i, attempt int, run simulateFunc) (p Point) {
 		cfg := cfgs[i]
 		pctx := ctx
 		cancel := func() {}
@@ -228,7 +233,7 @@ func RunWithOptions(ctx context.Context, tr *trace.Trace, cfgs []sim.Config, opt
 					return
 				}
 			}
-			res, err := sim.SimulateContext(pctx, cfg, tr)
+			res, err := run(pctx, cfg)
 			p = Point{Config: cfg, Result: res, Err: err}
 		}()
 		// An attempt that died because its own deadline fired (and not
@@ -246,11 +251,11 @@ func RunWithOptions(ctx context.Context, tr *trace.Trace, cfgs []sim.Config, opt
 	// runPoint is attemptOnce plus bounded retry with exponential
 	// backoff; only transient classes (timeout, panic) retry. The
 	// point's Duration covers every attempt and backoff sleep.
-	runPoint := func(i int) Point {
+	runPoint := func(i int, run simulateFunc) Point {
 		start := time.Now()
 		var p Point
 		for attempt := 0; ; attempt++ {
-			p = attemptOnce(i, attempt)
+			p = attemptOnce(i, attempt, run)
 			p.Attempts = attempt + 1
 			if p.Err == nil || !simerr.Transient(p.Err) || attempt >= opts.Retries || ctx.Err() != nil {
 				break
@@ -274,39 +279,82 @@ func RunWithOptions(ctx context.Context, tr *trace.Trace, cfgs []sim.Config, opt
 		jch <- journal.Record{Key: PointKey(tr, cfgs[i]), Index: i, Payload: payload}
 	}
 
+	notDispatched := func(i int) Point {
+		return Point{Config: cfgs[i], Err: fmt.Errorf(
+			"sweep: point not dispatched: %w: %w", simerr.ErrCancelled, context.Cause(ctx))}
+	}
+	full := func(pctx context.Context, cfg sim.Config) (*sim.Result, error) {
+		return sim.SimulateContext(pctx, cfg, tr)
+	}
+
+	// Each worker takes one group at a time. A group of two or more
+	// points shares its L1 stage: the first point records the accesses
+	// its run sends to the L2s into the worker's log, and every later
+	// point replays that log through its own L2 geometry, in caches the
+	// log keeps — or, when the leader failed, runs the full engine. Each
+	// point keeps its own attempt loop, Duration, journal record and
+	// PointDone call.
 	var wg sync.WaitGroup
-	next := make(chan int)
+	next := make(chan []int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				p := runPoint(i)
-				record(i, p)
-				points[i] = p
-				if opts.PointDone != nil {
-					opts.PointDone(i, p)
+			var log sim.L2Log
+			lead := func(pctx context.Context, cfg sim.Config) (*sim.Result, error) {
+				return sim.SimulateRecord(pctx, cfg, tr, &log)
+			}
+			replay := func(pctx context.Context, cfg sim.Config) (*sim.Result, error) {
+				return sim.ReplayL2(pctx, cfg, &log)
+			}
+			for g := range next {
+				run := full
+				if len(g) > 1 {
+					run = lead
+				} else {
+					// The full engine builds caches of its own: let the
+					// log's replay caches go, so that the worker never
+					// holds both.
+					log = sim.L2Log{}
+				}
+				for k, i := range g {
+					if k > 0 && ctx.Err() != nil {
+						// Cancelled mid-group: the rest of the group is
+						// marked exactly as undispatched points are.
+						for _, j := range g[k:] {
+							points[j] = notDispatched(j)
+						}
+						break
+					}
+					p := runPoint(i, run)
+					record(i, p)
+					points[i] = p
+					if opts.PointDone != nil {
+						opts.PointDone(i, p)
+					}
+					if k == 0 && len(g) > 1 {
+						// A failed leader leaves no log to replay.
+						run = full
+						if p.Err == nil {
+							run = replay
+						}
+					}
 				}
 			}
 		}()
 	}
 	done := ctx.Done()
 dispatch:
-	for i := range cfgs {
-		if skip[i] {
-			continue
-		}
+	for n, g := range groups {
 		select {
-		case next <- i:
+		case next <- g:
 		case <-done:
 			// Mark everything not yet handed to a worker; workers drain
-			// the point they already hold.
-			for j := i; j < len(cfgs); j++ {
-				if skip[j] {
-					continue
+			// the group they already hold.
+			for _, g := range groups[n:] {
+				for _, j := range g {
+					points[j] = notDispatched(j)
 				}
-				points[j] = Point{Config: cfgs[j], Err: fmt.Errorf(
-					"sweep: point not dispatched: %w: %w", simerr.ErrCancelled, context.Cause(ctx))}
 			}
 			break dispatch
 		}
@@ -318,6 +366,32 @@ dispatch:
 		jwg.Wait()
 	}
 	return points, jerr
+}
+
+// simulateFunc runs one simulation attempt of a point.
+type simulateFunc func(ctx context.Context, cfg sim.Config) (*sim.Result, error)
+
+// shareGroups partitions the points still to simulate into dispatch
+// units, ordered by their first index: the points that sim.ShareKey maps
+// to one key form one group, and every other point is a group of its
+// own.
+func shareGroups(cfgs []sim.Config, skip []bool) [][]int {
+	var groups [][]int
+	byKey := make(map[sim.Config]int)
+	for i, cfg := range cfgs {
+		if skip[i] {
+			continue
+		}
+		if key, ok := sim.ShareKey(cfg); ok {
+			if g, seen := byKey[key]; seen {
+				groups[g] = append(groups[g], i)
+				continue
+			}
+			byKey[key] = len(groups)
+		}
+		groups = append(groups, []int{i})
+	}
+	return groups
 }
 
 // sleepBackoff waits base<<attempt (capped at maxBackoff), abandoning
@@ -346,13 +420,28 @@ func sleepBackoff(ctx context.Context, base time.Duration, attempt int) bool {
 // PointKey identifies one sweep point for the journal: the trace
 // identity plus every field of the configuration, hashed. Any change to
 // either produces a different key, so a stale journal can never claim a
-// different campaign's points. Exported because the distributed
+// different campaign's points. An explicit machine spec enters by its
+// canonical bytes (as in api.CanonicalConfig), never by its address, so
+// two loads of one spec file give one key; a configuration without one
+// hashes exactly as it always has. Exported because the distributed
 // coordinator (internal/coord) journals its campaign state under the
 // same keys — a journal written locally resumes remotely and vice
 // versa.
 func PointKey(tr *trace.Trace, cfg sim.Config) string {
 	h := sha256.New()
+	spec := cfg.Machine
+	cfg.Machine = nil
 	fmt.Fprintf(h, "%s|%d|%#v", tr.Name, tr.Len(), cfg)
+	if spec != nil {
+		b, err := machine.Canonical(spec)
+		if err != nil {
+			// An invalid spec fails its point, which is never journalled,
+			// so its key need only be deterministic. A Spec holds plain
+			// values only, so marshalling it cannot fail.
+			b, _ = json.Marshal(spec)
+		}
+		fmt.Fprintf(h, "|machine=%s", b)
+	}
 	sum := h.Sum(nil)
 	return hex.EncodeToString(sum[:16])
 }
