@@ -167,6 +167,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// Read the body's end (in a well-formed body, only the transfer
+	// encoding's) before answering: net/http does not finish a
+	// full-duplex request body before reading the connection's next
+	// request, and then fails that request.
+	if _, err := io.CopyN(io.Discard, body, maxTrailingBytes+1); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("more than %d bytes follow the trace's last record: %w",
+				maxTrailingBytes, simerr.ErrTraceCorrupt)
+		}
+		fail(err)
+		panic(http.ErrAbortHandler) // closes the connection, body unread
+	}
 	res, err := eng.EndStream()
 	if err != nil {
 		fail(err)
@@ -193,3 +205,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		Bytes:  rd.BytesRead(),
 	})
 }
+
+// maxTrailingBytes bounds what handleStream reads past the last record.
+const maxTrailingBytes = 4 << 10

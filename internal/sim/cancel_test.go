@@ -45,18 +45,22 @@ func TestRunContextCancelledIsTyped(t *testing.T) {
 	tr := workload.Generate(p, 7, 5000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SimulateContext(ctx, Default(VMUltrix), tr)
-	if err == nil {
-		t.Fatal("cancelled run returned no error")
-	}
-	if !errors.Is(err, simerr.ErrCancelled) {
-		t.Errorf("error %v is not ErrCancelled", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("error %v is not context.Canceled", err)
-	}
-	if got := simerr.Category(err); got != "cancelled" {
-		t.Errorf("category = %q", got)
+	for _, mc := range replayMachines {
+		t.Run(mc.name, func(t *testing.T) {
+			_, err := mc.build(t, Default(VMUltrix)).RunContext(ctx, tr)
+			if err == nil {
+				t.Fatal("cancelled run returned no error")
+			}
+			if !errors.Is(err, simerr.ErrCancelled) {
+				t.Errorf("error %v is not ErrCancelled", err)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("error %v is not context.Canceled", err)
+			}
+			if got := simerr.Category(err); got != "cancelled" {
+				t.Errorf("category = %q", got)
+			}
+		})
 	}
 }
 
@@ -68,8 +72,12 @@ func TestRunContextCancelledWithInvariants(t *testing.T) {
 	cfg.CheckInvariants = true
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SimulateContext(ctx, cfg, tr); !errors.Is(err, simerr.ErrCancelled) {
-		t.Errorf("invariant path error %v is not ErrCancelled", err)
+	for _, mc := range replayMachines {
+		t.Run(mc.name, func(t *testing.T) {
+			if _, err := mc.build(t, cfg).RunContext(ctx, tr); !errors.Is(err, simerr.ErrCancelled) {
+				t.Errorf("invariant path error %v is not ErrCancelled", err)
+			}
+		})
 	}
 }
 

@@ -4,15 +4,15 @@
 // and replays reference traces through it, charging cycles in the
 // paper's MCPI/VMCPI taxonomy (Tables 2 and 3).
 //
-// Two replay loops exist. Engine.Run is the fast path: a specialized
-// per-phase loop whose per-reference work, once caches and TLBs are
-// warm, is a handful of compares with zero allocations (the allocation
-// budget is pinned by TestHitPathAllocationFree). Begin/Step/Finish is
-// the reference implementation: one reference at a time with invariant
-// hooks, used by external checkers such as the differential oracle in
-// internal/check; TestRunMatchesStep holds the two loops to identical
-// results. See PERFORMANCE.md at the repository root for how to measure
-// either.
+// One replay driver (replay.go) runs this Engine and the Multicore
+// cluster alike. The Engine replays a span through runPhase, a
+// specialized loop whose per-reference work, once caches and TLBs are
+// warm, is a handful of compares with zero allocations (the budget is
+// pinned by TestHitPathAllocationFree). Its step is the reference
+// implementation: one reference at a time with invariant hooks, behind
+// Step, CheckInvariants runs and every multicore core; TestRunMatchesStep
+// holds the two loops to identical results. See PERFORMANCE.md at the
+// repository root for how to measure either.
 package sim
 
 import (
@@ -40,7 +40,7 @@ type Engine struct {
 	usesTLB bool
 	// noTLBRefill marks the software-managed-cache organizations, whose
 	// walker runs on user L2 misses instead of TLB misses. Precomputed at
-	// assembly so Step's default path branches on one bool.
+	// assembly so step's default path branches on one bool.
 	noTLBRefill bool
 	itlb        *tlb.TLB
 	dtlb        *tlb.TLB
@@ -52,49 +52,31 @@ type Engine struct {
 	icache   *cache.Hierarchy
 	dcache   *cache.Hierarchy
 	// iprobe/dprobe are the hand-inlined L1 hit probes for the two cache
-	// sides: Step resolves the (overwhelmingly common) L1-hit case with
+	// sides: step resolves the (overwhelmingly common) L1-hit case with
 	// an inline compare and only calls into the cache package on misses.
 	// With unified caches both alias the same hierarchy.
 	iprobe cache.L1Probe
 	dprobe cache.L1Probe
 	c      stats.Counters
 	// live is false during the warmup prefix: the machine state (caches,
-	// TLBs, page tables) evolves but nothing is charged.
+	// TLBs, page tables) evolves but nothing is charged. The replay
+	// driver switches it (setLive).
 	live bool
 	// taggedTLB: TLB entries carry ASIDs; otherwise both TLBs are
 	// flushed on every context switch (the classical x86 behaviour).
 	taggedTLB bool
 	curASID   uint8
 
-	// Stepping state (Begin/Step/Finish). warm is the warmup boundary in
-	// instructions; stepIdx the number of Step calls so far.
-	warm    int
-	stepIdx int
 	// invErr latches the first invariant violation when
 	// cfg.CheckInvariants is set.
 	invErr error
-
-	// Timeline sampling state (cfg.SampleEvery > 0; see timeline.go).
-	// sampleBase is the snapshot at the start of the measured window,
-	// samplePrev the snapshot at the previous interval boundary.
-	samples    []TimelineSample
-	sampleBase stats.Counters
-	samplePrev stats.Counters
-
-	// Streaming state (BeginStream/Feed/EndStream; see stream.go).
-	// streamTotal is the declared reference count (-1 when unknown); fed
-	// counts references consumed so far.
-	streaming   bool
-	streamName  string
-	streamTotal int
-	fed         int
 
 	// OS-kernel state (see oskernel and multicore.go). kern is nil for
 	// the paper's machine (first-touch, unbounded) — the hot path then
 	// pays one nil compare per TLB-hierarchy miss and nothing else.
 	// peers are the other cores sharing this kernel (multicore runs);
 	// kernErr latches the first kernel failure (memory exhaustion),
-	// checked at phase boundaries and per Step.
+	// checked at phase boundaries and per step.
 	kern          *oskernel.Kernel
 	coreID        int
 	peers         []*Engine
@@ -105,6 +87,10 @@ type Engine struct {
 	// share.go): SimulateRecord sets it for one run. Only the L1-miss
 	// paths of runPhase, ExecHandler and PTELoad test it.
 	l2log *L2Log
+
+	// driver holds the replay state (replay.go); it sits after the
+	// fields the replay loops touch.
+	driver
 }
 
 // tlbKey composes the fully-associative TLB lookup key. With tagged TLBs
@@ -162,8 +148,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 // attachKernel builds and attaches the OS kernel a configuration calls
 // for; a first-touch unbounded configuration keeps kern nil, which is
 // the paper's machine exactly. The kernel always derives from the base
-// configuration seed — in multicore runs it is shared, so NewMulticore
-// attaches one kernel to every core itself.
+// configuration seed — in multicore runs core 0 attaches it and every
+// core shares it.
 func (e *Engine) attachKernel(cfg Config) error {
 	if !cfg.needsKernel() {
 		return nil
@@ -203,6 +189,7 @@ func assemble(cfg Config, phys *mem.Phys, refill mmu.Refill) *Engine {
 		refill: refill,
 		icache: cache.NewHierarchy(l1cfg, l2cfg),
 	}
+	e.driver = newDriver(e, cfg)
 	if cfg.UnifiedCaches {
 		// One shared hierarchy: instruction fetches and data references
 		// contend for the same lines.
@@ -258,7 +245,7 @@ func assemble(cfg Config, phys *mem.Phys, refill mmu.Refill) *Engine {
 
 // dtlbHit resolves a data translation through the TLB hierarchy:
 // first-level hit, then (if configured) the unified second-level TLB.
-// It reports whether the walker must run. Step inlines the first-level
+// It reports whether the walker must run. step inlines the first-level
 // probe itself and goes straight to the miss path; this full form serves
 // the walker-facing DTLBLookup.
 func (e *Engine) dtlbHit(key uint64) bool {
@@ -279,7 +266,7 @@ func (e *Engine) dtlbHit(key uint64) bool {
 // second-level TLB, and run the walker if that misses too — demanding
 // the page from the OS kernel first, since a full TLB-hierarchy miss is
 // the point where a real OS would discover a non-resident page. The
-// first-level probe (with its statistics) already happened in Step.
+// first-level probe (with its statistics) already happened in step.
 func (e *Engine) itlbMiss(asid uint8, va uint64) {
 	if e.tlb2 != nil {
 		key := e.tlbKey(asid, addr.VPN(va))
@@ -371,140 +358,17 @@ func (e *Engine) shootdown(p oskernel.Page) {
 	}
 }
 
-// Run replays tr through the simulated machine, following the paper's
-// §3.1 pseudocode: translate the fetch (walking the page table on an
-// I-TLB miss), look up the I-cache, then — for loads and stores —
-// translate the data address and look up the D-cache. For organizations
-// without TLBs the walker runs on user-level L2 misses instead.
-//
-// Run replays through runPhase, a specialized loop without the per-step
-// bookkeeping Step carries (warmup-boundary test, invariant hook, error
-// plumbing); with invariant checking enabled it falls back to the
-// Step-per-reference loop so violations are pinned to an instruction.
-// Step remains the reference implementation — TestRunMatchesStep holds
-// the two paths to identical results.
-func (e *Engine) Run(tr *trace.Trace) (*Result, error) {
-	return e.RunContext(context.Background(), tr)
-}
-
-// cancelCheckRefs is how many references RunContext replays between
-// cooperative cancellation checks. The check is one channel poll per
-// chunk — invisible against the chunk's simulation cost — yet bounds
-// how long a pathological configuration can outlive its context, which
-// is what lets the sweep pool impose per-point deadlines without
-// abandoning goroutines.
-const cancelCheckRefs = 1 << 16
-
-// RunContext is Run with cooperative cancellation: between chunks of
-// cancelCheckRefs references it polls ctx and, once the context is
-// done, abandons the run with an error wrapping both
-// simerr.ErrCancelled and the context's own cause (so errors.Is matches
-// either vocabulary). An un-cancelled RunContext is bit-identical to
-// Run: the phase loop folds its tallies additively, so chunking does
-// not change any counter.
-func (e *Engine) RunContext(ctx context.Context, tr *trace.Trace) (*Result, error) {
-	if err := e.Begin(tr); err != nil {
-		return nil, err
-	}
-	done := ctx.Done()
-	every := e.cfg.SampleEvery
-	if e.cfg.CheckInvariants {
-		for i := range tr.Refs {
-			if done != nil && i%cancelCheckRefs == 0 && ctx.Err() != nil {
-				return nil, e.cancelErr(ctx)
-			}
-			if err := e.Step(&tr.Refs[i]); err != nil {
-				return nil, err
-			}
-			if every > 0 && e.live && (i+1-e.warm)%every == 0 {
-				e.recordSample(i + 1)
-			}
-		}
-		if every > 0 && (len(tr.Refs)-e.warm)%every != 0 {
-			// The trailing partial interval, so the series always covers
-			// the whole measured window.
-			e.recordSample(len(tr.Refs))
-		}
-		return e.finishWithTimeline(tr.Name), nil
-	}
-	refs := tr.Refs
-	if err := e.runPhaseChunked(ctx, done, refs[:e.warm]); err != nil {
-		return nil, err
-	}
-	e.stepIdx = e.warm
-	if !e.live {
-		// Warmup over: start measuring, exactly as Step's boundary
-		// transition does.
-		e.live = true
-		if e.usesTLB {
-			e.itlb.ResetStats()
-			e.dtlb.ResetStats()
-		}
-		e.beginSampling()
-	}
-	if every > 0 {
-		// Sampled replay: the measured window proceeds one interval at a
-		// time, snapshotting at each boundary. The phase loop folds its
-		// tallies additively, so the extra boundaries change no counter —
-		// a sampled run is bit-identical to an unsampled one.
-		live := refs[e.warm:]
-		pos := e.warm
-		for len(live) > 0 {
-			n := every
-			if n > len(live) {
-				n = len(live)
-			}
-			if err := e.runPhaseChunked(ctx, done, live[:n]); err != nil {
-				return nil, err
-			}
-			pos += n
-			e.recordSample(pos)
-			live = live[n:]
-		}
-	} else if err := e.runPhaseChunked(ctx, done, refs[e.warm:]); err != nil {
-		return nil, err
-	}
-	e.stepIdx = len(refs)
-	return e.finishWithTimeline(tr.Name), nil
-}
-
-// finishWithTimeline is Finish plus the run's timeline samples.
-func (e *Engine) finishWithTimeline(workload string) *Result {
-	res := e.Finish(workload)
-	res.Timeline = e.samples
-	return res
-}
-
-// cancelErr wraps the context's cause in the failure taxonomy.
-func (e *Engine) cancelErr(ctx context.Context) error {
-	return fmt.Errorf("sim: run cancelled at instruction %d: %w: %w",
-		e.stepIdx, simerr.ErrCancelled, context.Cause(ctx))
-}
-
-// runPhaseChunked replays one warmup/live phase through runPhase,
-// checking for cancellation every cancelCheckRefs references. With no
-// cancellable context (done == nil — Run's path) it degenerates to one
-// direct runPhase call with zero added work.
-func (e *Engine) runPhaseChunked(ctx context.Context, done <-chan struct{}, refs []trace.Ref) error {
-	if done == nil {
+// span replays refs, which lie inside one phase and one sampling
+// interval, through runPhase — or, under CheckInvariants, one reference
+// at a time through step, so a violation is pinned to its reference.
+func (e *Engine) span(refs []trace.Ref, pos int) error {
+	if !e.cfg.CheckInvariants {
 		e.runPhase(refs)
 		return e.kernErr
 	}
-	for len(refs) > 0 {
-		select {
-		case <-done:
-			return e.cancelErr(ctx)
-		default:
-		}
-		n := len(refs)
-		if n > cancelCheckRefs {
-			n = cancelCheckRefs
-		}
-		e.runPhase(refs[:n])
-		e.stepIdx += n
-		refs = refs[n:]
-		if e.kernErr != nil {
-			return e.kernErr
+	for i := range refs {
+		if err := e.step(&refs[i], pos+i); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -512,13 +376,12 @@ func (e *Engine) runPhaseChunked(ctx context.Context, done <-chan struct{}, refs
 
 // runPhase replays refs through the machine within one warmup/live phase
 // (e.live is constant across a phase, so it is hoisted into a local).
-// The body mirrors Step's reference semantics exactly, minus the
-// per-step bookkeeping Run handles at phase granularity. Per-reference
-// tallies whose per-step increments would dominate the loop — user
-// instructions and the one I-TLB + at-most-one D-TLB lookup every
-// reference performs — accumulate in locals and fold into the real
-// counters once per phase; misses and all charged events still count at
-// the reference where they happen.
+// The body mirrors step's reference semantics exactly, minus the
+// per-reference invariant hook. Per-reference tallies whose per-step
+// increments would dominate the loop — user instructions and the one
+// I-TLB + at-most-one D-TLB lookup every reference performs — accumulate
+// in locals and fold into the real counters once per phase; misses and
+// all charged events still count at the reference where they happen.
 func (e *Engine) runPhase(refs []trace.Ref) {
 	live := e.live
 	usesTLB := e.usesTLB
@@ -665,43 +528,11 @@ func (e *Engine) runPhase(refs []trace.Ref) {
 	dp.AddHits(dhits)
 }
 
-// Begin prepares the engine to replay tr one reference at a time with
-// Step. Run is Begin + Step-per-reference + Finish; external checkers
-// (internal/check's differential harness) drive the same loop themselves
-// so they can compare machine state after every reference.
-func (e *Engine) Begin(tr *trace.Trace) error {
-	if err := tr.Validate(); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	e.warm = e.cfg.WarmupInstrs
-	if e.warm > len(tr.Refs)/2 {
-		e.warm = len(tr.Refs) / 2
-	}
-	e.live = e.warm == 0
-	e.stepIdx = 0
-	e.samples = nil
-	if e.live {
-		// No warmup: the measured window starts immediately.
-		e.beginSampling()
-	}
-	return nil
-}
-
-// Step replays one reference. It returns a non-nil error only when
-// cfg.CheckInvariants is set and a conservation law fails after the
-// reference completes.
-func (e *Engine) Step(r *trace.Ref) error {
-	if e.stepIdx == e.warm && !e.live {
-		// Warmup over: start measuring. Cache/TLB contents carry
-		// over; statistics restart from zero.
-		e.live = true
-		if e.usesTLB {
-			e.itlb.ResetStats()
-			e.dtlb.ResetStats()
-		}
-		e.beginSampling()
-	}
-	e.stepIdx++
+// step replays the one reference at trace index pos: the reference
+// implementation runPhase mirrors. It returns a non-nil error when the
+// OS kernel failed or, with cfg.CheckInvariants set, when a
+// conservation law fails after the reference completes.
+func (e *Engine) step(r *trace.Ref, pos int) error {
 	noTLBRefill := e.noTLBRefill
 	if r.ASID != e.curASID {
 		e.switchTo(r.ASID)
@@ -737,7 +568,7 @@ func (e *Engine) Step(r *trace.Ref) error {
 
 	// Data side.
 	if r.Kind == trace.None {
-		return e.stepErr()
+		return e.stepErr(pos)
 	}
 	if e.usesTLB && !e.dtlb.Lookup(e.tlbKey(r.ASID, addr.VPN(r.Data))) {
 		e.dtlbMiss(r.ASID, r.Data)
@@ -752,7 +583,7 @@ func (e *Engine) Step(r *trace.Ref) error {
 			e.c.Charge(stats.L1DMiss, stats.L1MissPenalty)
 			e.c.Charge(stats.L2DMiss, stats.L2MissPenalty)
 		}
-		return e.stepErr()
+		return e.stepErr(pos)
 	}
 	if !e.dprobe.Hit(userCacheAddr(r.ASID, r.Data)) {
 		lvl := e.dcache.AccessMissedL1(userCacheAddr(r.ASID, r.Data))
@@ -769,17 +600,17 @@ func (e *Engine) Step(r *trace.Ref) error {
 			e.refill.HandleMiss(e, r.ASID, r.Data, false)
 		}
 	}
-	return e.stepErr()
+	return e.stepErr(pos)
 }
 
-// stepErr is Step's exit check: a latched kernel failure aborts the
+// stepErr is step's exit check: a latched kernel failure aborts the
 // stepped run exactly as it aborts the phase loop, then the optional
 // invariant hook runs.
-func (e *Engine) stepErr() error {
+func (e *Engine) stepErr(pos int) error {
 	if e.kernErr != nil {
 		return e.kernErr
 	}
-	return e.maybeCheckInvariants()
+	return e.maybeCheckInvariants(pos)
 }
 
 // Digest is a compact summary of the engine's mutable machine state —
@@ -812,8 +643,9 @@ func (e *Engine) Digest() Digest {
 }
 
 // Snapshot returns the statistics accumulated so far, with the live TLB
-// lookup/miss counts folded in the way Finish folds them — so a snapshot
-// taken after the final Step equals the finished Result's counters.
+// lookup/miss counts folded in the way result folds them — so a
+// snapshot taken after the final Step equals the finished Result's
+// counters.
 func (e *Engine) Snapshot() stats.Counters {
 	c := e.c
 	if e.usesTLB {
@@ -824,8 +656,19 @@ func (e *Engine) Snapshot() stats.Counters {
 	return c
 }
 
-// Finish assembles the Result after the last Step.
-func (e *Engine) Finish(workload string) *Result {
+// setLive switches the engine between warming and measuring.
+func (e *Engine) setLive(live bool) { e.live = live }
+
+// resetTLBStats restarts the first-level TLB statistics.
+func (e *Engine) resetTLBStats() {
+	if e.usesTLB {
+		e.itlb.ResetStats()
+		e.dtlb.ResetStats()
+	}
+}
+
+// result assembles the Result after the last reference.
+func (e *Engine) result(workload string) *Result {
 	e.c = e.Snapshot()
 	return &Result{
 		Config:         e.cfg,
@@ -943,16 +786,9 @@ func Simulate(cfg Config, tr *trace.Trace) (*Result, error) {
 // aborts with an error wrapping simerr.ErrCancelled shortly after ctx
 // is done. The sweep pool uses this to impose per-point deadlines.
 func SimulateContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, error) {
-	if cfg.Cores > 1 {
-		m, err := NewMulticore(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return m.RunContext(ctx, tr)
-	}
-	e, err := NewEngine(cfg)
+	m, err := newMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return e.RunContext(ctx, tr)
+	return m.RunContext(ctx, tr)
 }

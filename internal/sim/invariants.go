@@ -36,24 +36,24 @@ import (
 
 // maybeCheckInvariants runs the per-reference conservation checks when
 // the configuration asks for them. The first violation is latched and
-// returned from every subsequent Step so a driver that ignores one error
+// returned from every subsequent step so a driver that ignores one error
 // cannot silently run past it.
-func (e *Engine) maybeCheckInvariants() error {
+func (e *Engine) maybeCheckInvariants(pos int) error {
 	if !e.cfg.CheckInvariants {
 		return nil
 	}
 	if e.invErr == nil {
-		e.invErr = e.checkInvariants()
+		e.invErr = e.checkInvariants(pos)
 	}
 	return e.invErr
 }
 
-// checkInvariants verifies every per-reference conservation law and
-// returns a description of the first violated one.
-func (e *Engine) checkInvariants() error {
+// checkInvariants verifies every per-reference conservation law after
+// the reference at trace index pos and describes the first violated one.
+func (e *Engine) checkInvariants(pos int) error {
 	fail := func(format string, args ...interface{}) error {
 		return fmt.Errorf("sim: invariant violated at instruction %d (%s): %s",
-			e.stepIdx, e.cfg.Label(), fmt.Sprintf(format, args...))
+			pos+1, e.cfg.Label(), fmt.Sprintf(format, args...))
 	}
 
 	// Cache conservation, per hierarchy side.
@@ -174,7 +174,7 @@ func checkDecomposition(c *stats.Counters, interruptCost uint64) error {
 // not part of the measured simulation.
 func (e *Engine) StateSummary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "engine %s after %d refs (live=%v)\n", e.cfg.Label(), e.stepIdx, e.live)
+	fmt.Fprintf(&b, "engine %s after %d refs (live=%v)\n", e.cfg.Label(), e.pos, e.live)
 	side := func(name string, h *cache.Hierarchy) {
 		l1, l2 := h.L1(), h.L2()
 		fmt.Fprintf(&b, "  %s: L1 %d/%d lines resident (%d acc, %d miss); L2 %d/%d (%d acc, %d miss)\n",

@@ -98,3 +98,33 @@ func TestInvariantModeOffIgnoresTampering(t *testing.T) {
 		t.Fatalf("invariant mode off, yet Step failed: %v", err)
 	}
 }
+
+// TestMulticoreInvariantViolationNamesTracePosition: a cluster reports a
+// violation at the trace position of the reference that exposed it, not
+// at the stepping core's own reference count.
+func TestMulticoreInvariantViolationNamesTracePosition(t *testing.T) {
+	for _, cores := range []int{1, 4} {
+		tr := mcTrace(t, cores, 1_000)
+		cfg := Default(VMUltrix)
+		cfg.Cores = cores
+		cfg.WarmupInstrs = 0
+		cfg.CheckInvariants = true
+		m, err := NewMulticore(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Begin(tr); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 101; i++ {
+			if err := m.Step(&tr.Refs[i]); err != nil {
+				t.Fatalf("cores=%d: clean prefix: step %d: %v", cores, i, err)
+			}
+		}
+		m.cores[101%cores].c.Cycles[stats.L1IMiss]++
+		err = m.Step(&tr.Refs[101])
+		if err == nil || !strings.Contains(err.Error(), "invariant violated at instruction 102 ") {
+			t.Fatalf("cores=%d: violation at trace index 101 reported as %v", cores, err)
+		}
+	}
+}

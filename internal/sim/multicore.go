@@ -2,11 +2,9 @@ package sim
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/mem"
 	"repro/internal/oskernel"
-	"repro/internal/simerr"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -29,35 +27,14 @@ import (
 // the paper never measured.
 //
 // A 1-core Multicore is bit-identical to the single-core Engine: core 0
-// keeps the base seed, the warmup boundary and sampling logic mirror
-// RunContext's, and the kernel attachment rule is the same
-// (TestMulticoreOneCoreMatchesEngine pins this).
+// keeps the base seed, one replay driver runs both, and the kernel
+// attachment rule is the same (TestMulticoreOneCoreMatchesEngine).
 type Multicore struct {
+	driver
+
 	cfg   Config
 	cores []*Engine
 	kern  *oskernel.Kernel
-
-	// avgChain defers to the shared walker for hash-chain statistics.
-	avgChain func() float64
-
-	// Global replay state: warm is the cluster warmup boundary in
-	// references, stepIdx the number of references replayed.
-	warm    int
-	stepIdx int
-	live    bool
-
-	// Cluster timeline sampling (cfg.SampleEvery): the same
-	// base/prev-snapshot scheme the Engine uses, over the summed
-	// per-core counters.
-	samples    []TimelineSample
-	sampleBase stats.Counters
-	samplePrev stats.Counters
-
-	// Streaming state (BeginStream/Feed/EndStream).
-	streaming   bool
-	streamName  string
-	streamTotal int
-	fed         int
 }
 
 // NewMulticore builds an N-core machine for cfg (cfg.Cores >= 1; 0 is
@@ -78,28 +55,26 @@ func NewMulticore(cfg Config) (*Multicore, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Multicore{cfg: cfg, avgChain: func() float64 { return chainStats(refill) }}
+	m := &Multicore{cfg: cfg}
+	m.driver = newDriver(m, cfg)
 	m.cores = make([]*Engine, n)
 	for c := 0; c < n; c++ {
 		coreCfg := cfg
 		coreCfg.Seed = CoreSeed(cfg.Seed, c)
-		// Sampling and warmup are cluster-level concerns; the per-core
-		// engines run as pure steppers.
-		coreCfg.SampleEvery = 0
+		// The cluster's driver steps the cores; their own drivers stay
+		// idle.
 		e := assemble(coreCfg, phys, refill)
 		e.coreID = c
 		m.cores[c] = e
 	}
-	if cfg.needsKernel() {
-		kern, kerr := oskernel.New(cfg.osPolicyName(), cfg.MemFrames, cfg.Seed)
-		if kerr != nil {
-			return nil, fmt.Errorf("%w: sim: %w", simerr.ErrConfigInvalid, kerr)
-		}
-		m.kern = kern
+	// Core 0 builds the kernel from the base configuration, as a
+	// single-core engine would; every core then shares it.
+	if err := m.cores[0].attachKernel(cfg); err != nil {
+		return nil, err
+	}
+	if m.kern = m.cores[0].kern; m.kern != nil {
 		for _, e := range m.cores {
-			e.kern = kern
-			e.peers = m.cores
-			e.shootdownCost = cfg.ShootdownCost
+			e.kern, e.peers, e.shootdownCost = m.kern, m.cores, cfg.ShootdownCost
 		}
 	}
 	return m, nil
@@ -108,117 +83,37 @@ func NewMulticore(cfg Config) (*Multicore, error) {
 // Cores returns the number of simulated cores.
 func (m *Multicore) Cores() int { return len(m.cores) }
 
-// begin initializes the global replay state for a run over total
-// references (total < 0: unknown length, warmup uncapped — the
-// streaming case).
-func (m *Multicore) begin(total int) {
-	m.warm = m.cfg.WarmupInstrs
-	if total >= 0 && m.warm > total/2 {
-		m.warm = total / 2
+// span replays refs one reference at a time, trace index i on core
+// i mod N. The cluster never uses the fast phase loop: its fetch-line
+// memo assumes no other core can disturb TLB or cache state between two
+// of its references, which shootdowns violate.
+func (m *Multicore) span(refs []trace.Ref, pos int) error {
+	for i := range refs {
+		if err := m.step(&refs[i], pos+i); err != nil {
+			return err
+		}
 	}
-	m.stepIdx = 0
-	m.samples = nil
-	m.setLive(m.warm == 0)
-	for _, e := range m.cores {
-		// Disarm the per-core warmup boundary (stepIdx never equals -1):
-		// the cluster flips every core at the global boundary instead,
-		// because the boundary is a position in the interleaved trace,
-		// not in any single core's subsequence.
-		e.warm = -1
-		e.stepIdx = 0
-		e.samples = nil
-	}
-	if m.live {
-		m.beginSampling()
-	}
+	return nil
 }
 
-// setLive switches the cluster and every core between the warming and
-// measuring phases.
+// step replays the reference at trace index pos on the core the
+// interleaving assigns.
+func (m *Multicore) step(r *trace.Ref, pos int) error {
+	return m.cores[pos%len(m.cores)].step(r, pos)
+}
+
+// setLive switches every core between warming and measuring at once.
 func (m *Multicore) setLive(live bool) {
-	m.live = live
 	for _, e := range m.cores {
 		e.live = live
 	}
 }
 
-// crossWarmBoundary performs the warmup-to-measuring transition: machine
-// state carries over, statistics restart — on every core at once, the
-// multicore image of the Engine's boundary transition.
-func (m *Multicore) crossWarmBoundary() {
-	m.setLive(true)
+// resetTLBStats restarts every core's TLB statistics.
+func (m *Multicore) resetTLBStats() {
 	for _, e := range m.cores {
-		if e.usesTLB {
-			e.itlb.ResetStats()
-			e.dtlb.ResetStats()
-		}
+		e.resetTLBStats()
 	}
-	m.beginSampling()
-}
-
-// step replays one reference on the core the global interleaving
-// assigns, handling the cluster warmup boundary first.
-func (m *Multicore) step(r *trace.Ref) error {
-	if m.stepIdx == m.warm && !m.live {
-		m.crossWarmBoundary()
-	}
-	e := m.cores[m.stepIdx%len(m.cores)]
-	m.stepIdx++
-	return e.Step(r)
-}
-
-// Begin prepares the cluster to replay tr one reference at a time with
-// Step — the stepping surface the differential oracle in internal/check
-// drives. Run is Begin + Step-per-reference + Finish.
-func (m *Multicore) Begin(tr *trace.Trace) error {
-	if err := tr.Validate(); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	m.begin(len(tr.Refs))
-	return nil
-}
-
-// Step replays one reference on the core the interleaving assigns.
-func (m *Multicore) Step(r *trace.Ref) error { return m.step(r) }
-
-// Finish assembles the Result after the last Step.
-func (m *Multicore) Finish(workload string) *Result { return m.finish(workload) }
-
-// Run replays tr through the multicore machine.
-func (m *Multicore) Run(tr *trace.Trace) (*Result, error) {
-	return m.RunContext(context.Background(), tr)
-}
-
-// RunContext is Run with cooperative cancellation, polled every
-// cancelCheckRefs references like the single-core engine. Multicore
-// replay always steps one reference at a time — the fast phase loop's
-// fetch-line memo assumes no other core can disturb TLB or cache state
-// between two of its references, which shootdowns violate.
-func (m *Multicore) RunContext(ctx context.Context, tr *trace.Trace) (*Result, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	m.begin(len(tr.Refs))
-	done := ctx.Done()
-	every := m.cfg.SampleEvery
-	for i := range tr.Refs {
-		if done != nil && i%cancelCheckRefs == 0 && ctx.Err() != nil {
-			return nil, fmt.Errorf("sim: run cancelled at instruction %d: %w: %w",
-				m.stepIdx, simerr.ErrCancelled, context.Cause(ctx))
-		}
-		if err := m.step(&tr.Refs[i]); err != nil {
-			return nil, err
-		}
-		if every > 0 && m.live && (i+1-m.warm)%every == 0 {
-			m.recordSample(i + 1)
-		}
-	}
-	if every > 0 && (len(tr.Refs)-m.warm)%every != 0 {
-		// The trailing partial interval, so the series always covers the
-		// whole measured window.
-		m.recordSample(len(tr.Refs))
-	}
-	return m.finish(tr.Name), nil
 }
 
 // Snapshot returns the cluster counters: the sum over every core's own
@@ -262,31 +157,10 @@ func (m *Multicore) Digest() Digest {
 // CoreDigest returns core c's own machine-state digest.
 func (m *Multicore) CoreDigest(c int) Digest { return m.cores[c].Digest() }
 
-// beginSampling arms cluster timeline sampling at the start of the
-// measured window (no-op unless SampleEvery is set).
-func (m *Multicore) beginSampling() {
-	if m.cfg.SampleEvery <= 0 {
-		return
-	}
-	base := m.Snapshot()
-	m.sampleBase = base
-	m.samplePrev = base
-}
-
-// recordSample appends the cluster interval ending at trace position pos.
-func (m *Multicore) recordSample(pos int) {
-	cur := m.Snapshot()
-	delta, total := cur, cur
-	delta.Sub(&m.samplePrev)
-	total.Sub(&m.sampleBase)
-	m.samples = append(m.samples, TimelineSample{Instr: uint64(pos), Delta: delta, Total: total})
-	m.samplePrev = cur
-}
-
-// finish assembles the Result: summed counters as the headline figures,
+// result assembles the Result: summed counters as the headline figures,
 // every core's own counters as Result.PerCore (always populated, even
 // for one core — the multicore result says what each core did).
-func (m *Multicore) finish(workload string) *Result {
+func (m *Multicore) result(workload string) *Result {
 	per := make([]stats.Counters, len(m.cores))
 	var sum stats.Counters
 	for i, e := range m.cores {
@@ -297,76 +171,9 @@ func (m *Multicore) finish(workload string) *Result {
 		Config:         m.cfg,
 		Workload:       workload,
 		Counters:       sum,
-		AvgChainLength: m.avgChain(),
-		Timeline:       m.samples,
+		AvgChainLength: chainStats(m.cores[0].refill), // one walker serves every core
 		PerCore:        per,
 	}
-}
-
-// --- streaming -------------------------------------------------------
-
-// BeginStream opens an incremental multicore run; the semantics mirror
-// Engine.BeginStream exactly (declared total fixes the warmup cap,
-// total < 0 leaves it uncapped and skips the short-stream check).
-func (m *Multicore) BeginStream(name string, total int) error {
-	if m.streaming {
-		return fmt.Errorf("sim: BeginStream: stream %q already open", m.streamName)
-	}
-	m.streaming = true
-	m.streamName = name
-	m.streamTotal = total
-	m.fed = 0
-	m.begin(total)
-	return nil
-}
-
-// Feed replays the next chunk of the stream and returns the timeline
-// samples the chunk completed, with Engine.Feed's validation contract:
-// malformed chunks or feeding past a declared total fail with an error
-// wrapping simerr.ErrTraceCorrupt.
-func (m *Multicore) Feed(refs []trace.Ref) ([]TimelineSample, error) {
-	if !m.streaming {
-		return nil, fmt.Errorf("sim: Feed without BeginStream")
-	}
-	if len(refs) == 0 {
-		return nil, nil
-	}
-	if m.streamTotal >= 0 && m.fed+len(refs) > m.streamTotal {
-		return nil, fmt.Errorf("sim: stream %q overfed: %d more references after %d of a declared %d: %w",
-			m.streamName, len(refs), m.fed, m.streamTotal, simerr.ErrTraceCorrupt)
-	}
-	if err := trace.ValidateRefs(m.streamName, m.fed, refs); err != nil {
-		return nil, err
-	}
-	base := len(m.samples)
-	every := m.cfg.SampleEvery
-	for i := range refs {
-		if err := m.step(&refs[i]); err != nil {
-			return nil, err
-		}
-		m.fed++
-		if every > 0 && m.live && (m.fed-m.warm)%every == 0 {
-			m.recordSample(m.fed)
-		}
-	}
-	return m.samples[base:len(m.samples):len(m.samples)], nil
-}
-
-// EndStream closes the stream and assembles the Result, enforcing
-// Engine.EndStream's short-stream check against the declared total.
-func (m *Multicore) EndStream() (*Result, error) {
-	if !m.streaming {
-		return nil, fmt.Errorf("sim: EndStream without BeginStream")
-	}
-	m.streaming = false
-	if m.streamTotal >= 0 && m.fed != m.streamTotal {
-		return nil, fmt.Errorf("sim: stream %q ended at reference %d of a declared %d: %w",
-			m.streamName, m.fed, m.streamTotal, simerr.ErrTraceCorrupt)
-	}
-	if every := m.cfg.SampleEvery; every > 0 && m.live && (m.fed-m.warm)%every != 0 {
-		m.recordSample(m.fed)
-	}
-	return m.finish(m.streamName), nil
 }
 
 // --- dispatch --------------------------------------------------------
@@ -384,18 +191,22 @@ type Streamer interface {
 	Digest() Digest
 }
 
-// Statically assert both replay engines satisfy the streaming surface.
-var (
-	_ Streamer = (*Engine)(nil)
-	_ Streamer = (*Multicore)(nil)
-)
+// replayMachine is either machine through its replay driver.
+type replayMachine interface {
+	Streamer
+	RunContext(ctx context.Context, tr *trace.Trace) (*Result, error)
+}
 
-// NewStreamer builds the streaming replay engine cfg calls for: the
-// Multicore cluster when Cores > 1, the single-core Engine otherwise
-// (bit-identical to every existing single-core stream).
-func NewStreamer(cfg Config) (Streamer, error) {
+// newMachine builds the machine cfg calls for: the Multicore cluster
+// when Cores > 1, the single-core Engine otherwise.
+func newMachine(cfg Config) (replayMachine, error) {
 	if cfg.Cores > 1 {
 		return NewMulticore(cfg)
 	}
 	return NewEngine(cfg)
 }
+
+// NewStreamer builds the streaming replay engine cfg calls for: the
+// Multicore cluster when Cores > 1, the single-core Engine otherwise
+// (bit-identical to every existing single-core stream).
+func NewStreamer(cfg Config) (Streamer, error) { return newMachine(cfg) }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -25,6 +26,46 @@ func chunkize(src *rng.Source, refs []trace.Ref, max int) [][]trace.Ref {
 	return out
 }
 
+// replayCase is a machine the driver's contract tests run on.
+type replayCase struct {
+	name string
+	new  func(Config) (replayMachine, error)
+}
+
+// replayMachines are the engine, and the cluster at one core and at two
+// cores under an evicting OS policy.
+var replayMachines = []replayCase{
+	{"engine", func(c Config) (replayMachine, error) { return NewEngine(c) }},
+	{"cores1", func(c Config) (replayMachine, error) {
+		c.Cores = 1
+		return NewMulticore(c)
+	}},
+	{"cores2", func(c Config) (replayMachine, error) {
+		c.Cores, c.OSPolicy, c.MemFrames, c.ShootdownCost = 2, "lru", 64, 40
+		return NewMulticore(c)
+	}},
+}
+
+// build is new(cfg), failing the test on error.
+func (rc replayCase) build(t *testing.T, cfg Config) replayMachine {
+	t.Helper()
+	m, err := rc.new(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// run replays trc through a fresh machine in one batch run.
+func (rc replayCase) run(t *testing.T, cfg Config, trc *trace.Trace) *Result {
+	t.Helper()
+	res, err := rc.build(t, cfg).RunContext(context.Background(), trc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // feedAll streams trc through a fresh engine in the given chunks and
 // returns the result, the digest, and the live samples Feed handed back.
 func feedAll(t *testing.T, cfg Config, trc *trace.Trace, chunks [][]trace.Ref) (*Result, Digest, []TimelineSample) {
@@ -33,6 +74,12 @@ func feedAll(t *testing.T, cfg Config, trc *trace.Trace, chunks [][]trace.Ref) (
 	if err != nil {
 		t.Fatal(err)
 	}
+	return feedInto(t, e, trc, chunks)
+}
+
+// feedInto is feedAll through a given machine.
+func feedInto(t *testing.T, e Streamer, trc *trace.Trace, chunks [][]trace.Ref) (*Result, Digest, []TimelineSample) {
+	t.Helper()
 	if err := e.BeginStream(trc.Name, trc.Len()); err != nil {
 		t.Fatal(err)
 	}
@@ -139,17 +186,18 @@ func TestStreamInvariantPathMatchesBatch(t *testing.T) {
 	cfg.WarmupInstrs = 3_000
 	cfg.SampleEvery = 2_500
 	cfg.CheckInvariants = true
-	batch, err := Simulate(cfg, trc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks := chunkize(rng.New(11), trc.Refs, 313)
-	res, _, _ := feedAll(t, cfg, trc, chunks)
-	if res.Counters != batch.Counters {
-		t.Fatal("invariant-path streamed counters diverge from batch")
-	}
-	if !reflect.DeepEqual(res.Timeline, batch.Timeline) {
-		t.Fatal("invariant-path streamed timeline diverges from batch")
+	for _, mc := range replayMachines {
+		t.Run(mc.name, func(t *testing.T) {
+			batch := mc.run(t, cfg, trc)
+			chunks := chunkize(rng.New(11), trc.Refs, 313)
+			res, _, _ := feedInto(t, mc.build(t, cfg), trc, chunks)
+			if res.Counters != batch.Counters {
+				t.Fatal("invariant-path streamed counters diverge from batch")
+			}
+			if !reflect.DeepEqual(res.Timeline, batch.Timeline) {
+				t.Fatal("invariant-path streamed timeline diverges from batch")
+			}
+		})
 	}
 }
 
@@ -160,13 +208,14 @@ func TestStreamWarmupBoundaryInsideChunk(t *testing.T) {
 	cfg := Default(VMUltrix)
 	cfg.WarmupInstrs = 4_000
 	cfg.SampleEvery = 3_000
-	batch, err := Simulate(cfg, trc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, _ := feedAll(t, cfg, trc, [][]trace.Ref{trc.Refs})
-	if res.Counters != batch.Counters || !reflect.DeepEqual(res.Timeline, batch.Timeline) {
-		t.Fatal("single-chunk stream diverges from batch")
+	for _, mc := range replayMachines {
+		t.Run(mc.name, func(t *testing.T) {
+			batch := mc.run(t, cfg, trc)
+			res, _, _ := feedInto(t, mc.build(t, cfg), trc, [][]trace.Ref{trc.Refs})
+			if res.Counters != batch.Counters || !reflect.DeepEqual(res.Timeline, batch.Timeline) {
+				t.Fatal("single-chunk stream diverges from batch")
+			}
+		})
 	}
 }
 
@@ -174,19 +223,20 @@ func TestStreamShortEndsCorrupt(t *testing.T) {
 	trc := tr(t, "gcc", 2_000)
 	cfg := Default(VMUltrix)
 	cfg.WarmupInstrs = 0
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.BeginStream(trc.Name, trc.Len()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Feed(trc.Refs[:1_000]); err != nil {
-		t.Fatal(err)
-	}
-	_, err = e.EndStream()
-	if !errors.Is(err, simerr.ErrTraceCorrupt) {
-		t.Fatalf("short stream finalized with err = %v, want ErrTraceCorrupt", err)
+	for _, mc := range replayMachines {
+		t.Run(mc.name, func(t *testing.T) {
+			e := mc.build(t, cfg)
+			if err := e.BeginStream(trc.Name, trc.Len()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Feed(trc.Refs[:1_000]); err != nil {
+				t.Fatal(err)
+			}
+			_, err := e.EndStream()
+			if !errors.Is(err, simerr.ErrTraceCorrupt) {
+				t.Fatalf("short stream finalized with err = %v, want ErrTraceCorrupt", err)
+			}
+		})
 	}
 }
 
@@ -194,37 +244,39 @@ func TestStreamOverfeedCorrupt(t *testing.T) {
 	trc := tr(t, "gcc", 1_000)
 	cfg := Default(VMUltrix)
 	cfg.WarmupInstrs = 0
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.BeginStream(trc.Name, 500); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Feed(trc.Refs[:500]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Feed(trc.Refs[500:501]); !errors.Is(err, simerr.ErrTraceCorrupt) {
-		t.Fatalf("overfeed err = %v, want ErrTraceCorrupt", err)
+	for _, mc := range replayMachines {
+		t.Run(mc.name, func(t *testing.T) {
+			e := mc.build(t, cfg)
+			if err := e.BeginStream(trc.Name, 500); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Feed(trc.Refs[:500]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Feed(trc.Refs[500:501]); !errors.Is(err, simerr.ErrTraceCorrupt) {
+				t.Fatalf("overfeed err = %v, want ErrTraceCorrupt", err)
+			}
+		})
 	}
 }
 
 func TestStreamValidatesChunks(t *testing.T) {
 	cfg := Default(VMUltrix)
 	cfg.WarmupInstrs = 0
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.BeginStream("bad", -1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Feed([]trace.Ref{{PC: 0x1000, Kind: 99}}); !errors.Is(err, simerr.ErrTraceCorrupt) {
-		t.Fatalf("invalid ref fed, err = %v, want ErrTraceCorrupt", err)
-	}
-	var ce *trace.CorruptError
-	if _, err := e.Feed([]trace.Ref{{PC: 0x1000, Kind: 99}}); !errors.As(err, &ce) || ce.Index != 0 {
-		t.Fatalf("corrupt ref not labelled with its stream index: %v", err)
+	for _, mc := range replayMachines {
+		t.Run(mc.name, func(t *testing.T) {
+			e := mc.build(t, cfg)
+			if err := e.BeginStream("bad", -1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Feed([]trace.Ref{{PC: 0x1000, Kind: 99}}); !errors.Is(err, simerr.ErrTraceCorrupt) {
+				t.Fatalf("invalid ref fed, err = %v, want ErrTraceCorrupt", err)
+			}
+			var ce *trace.CorruptError
+			if _, err := e.Feed([]trace.Ref{{PC: 0x1000, Kind: 99}}); !errors.As(err, &ce) || ce.Index != 0 {
+				t.Fatalf("corrupt ref not labelled with its stream index: %v", err)
+			}
+		})
 	}
 }
 
@@ -235,52 +287,51 @@ func TestStreamUnknownTotal(t *testing.T) {
 	cfg := Default(VMUltrix)
 	cfg.WarmupInstrs = 2_000
 	cfg.SampleEvery = 1_500
-	// The batch reference: same trace, same effective warmup (2000 <
-	// 8000/2, so the cap does not bite and the two agree).
-	batch, err := Simulate(cfg, trc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.BeginStream(trc.Name, -1); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range chunkize(rng.New(3), trc.Refs, 777) {
-		if _, err := e.Feed(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := e.EndStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counters != batch.Counters || !reflect.DeepEqual(res.Timeline, batch.Timeline) {
-		t.Fatal("unknown-total stream diverges from batch at the same warmup")
+	for _, mc := range replayMachines {
+		t.Run(mc.name, func(t *testing.T) {
+			// The batch reference: same trace, same effective warmup (2000 <
+			// 8000/2, so the cap does not bite and the two agree).
+			batch := mc.run(t, cfg, trc)
+			e := mc.build(t, cfg)
+			if err := e.BeginStream(trc.Name, -1); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range chunkize(rng.New(3), trc.Refs, 777) {
+				if _, err := e.Feed(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := e.EndStream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Counters != batch.Counters || !reflect.DeepEqual(res.Timeline, batch.Timeline) {
+				t.Fatal("unknown-total stream diverges from batch at the same warmup")
+			}
+		})
 	}
 }
 
 func TestStreamAPIMisuse(t *testing.T) {
 	cfg := Default(VMUltrix)
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Feed(nil); err == nil {
-		t.Fatal("Feed before BeginStream accepted")
-	}
-	if _, err := e.EndStream(); err == nil {
-		t.Fatal("EndStream before BeginStream accepted")
-	}
-	if err := e.BeginStream("x", -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.BeginStream("y", -1); err == nil {
-		t.Fatal("nested BeginStream accepted")
-	}
-	if _, err := e.EndStream(); err != nil {
-		t.Fatal(err)
+	for _, mc := range replayMachines {
+		t.Run(mc.name, func(t *testing.T) {
+			e := mc.build(t, cfg)
+			if _, err := e.Feed(nil); err == nil {
+				t.Fatal("Feed before BeginStream accepted")
+			}
+			if _, err := e.EndStream(); err == nil {
+				t.Fatal("EndStream before BeginStream accepted")
+			}
+			if err := e.BeginStream("x", -1); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.BeginStream("y", -1); err == nil {
+				t.Fatal("nested BeginStream accepted")
+			}
+			if _, err := e.EndStream(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

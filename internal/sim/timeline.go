@@ -52,31 +52,3 @@ func WriteTimelineCSV(w io.Writer, samples []TimelineSample) error {
 	}
 	return nil
 }
-
-// beginSampling re-arms timeline sampling at the start of the measured
-// window: the current snapshot becomes both the window base (for
-// cumulative Totals) and the previous-sample marker (for Deltas). A
-// no-op unless Config.SampleEvery is set.
-func (e *Engine) beginSampling() {
-	if e.cfg.SampleEvery <= 0 {
-		return
-	}
-	base := e.Snapshot()
-	e.sampleBase = base
-	e.samplePrev = base
-}
-
-// recordSample appends the interval ending at trace position pos.
-func (e *Engine) recordSample(pos int) {
-	cur := e.Snapshot()
-	delta, total := cur, cur
-	delta.Sub(&e.samplePrev)
-	total.Sub(&e.sampleBase)
-	e.samples = append(e.samples, TimelineSample{Instr: uint64(pos), Delta: delta, Total: total})
-	e.samplePrev = cur
-}
-
-// Timeline returns the samples recorded by the most recent run (nil
-// when Config.SampleEvery is zero). The finished Result carries the
-// same slice.
-func (e *Engine) Timeline() []TimelineSample { return e.samples }

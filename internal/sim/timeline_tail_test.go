@@ -101,51 +101,49 @@ func TestTimelineTailStepAndStreamAgree(t *testing.T) {
 		{6_000, 4_000, 5_000},
 		{6_000, 4_000, 2_000},
 	}
-	for _, tc := range cases {
-		cfg := Default(VMUltrix)
-		cfg.WarmupInstrs = tc.warm
-		cfg.SampleEvery = tc.every
-		trc := tr(t, "gcc", tc.n)
-		batch, err := Simulate(cfg, trc)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, mc := range replayMachines {
+		t.Run(mc.name, func(t *testing.T) {
+			for _, tc := range cases {
+				cfg := Default(VMUltrix)
+				cfg.WarmupInstrs = tc.warm
+				cfg.SampleEvery = tc.every
+				trc := tr(t, "gcc", tc.n)
+				batch := mc.run(t, cfg, trc)
 
-		// Step path: the invariant-checking per-reference loop.
-		stepCfg := cfg
-		stepCfg.CheckInvariants = true
-		stepped, err := Simulate(stepCfg, trc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(stepped.Timeline) != len(batch.Timeline) {
-			t.Fatalf("n=%d warm=%d every=%d: step path records %d samples, run path %d",
-				tc.n, tc.warm, tc.every, len(stepped.Timeline), len(batch.Timeline))
-		}
-		for i := range batch.Timeline {
-			if stepped.Timeline[i] != batch.Timeline[i] {
-				t.Fatalf("n=%d warm=%d every=%d: step/run sample %d diverge",
-					tc.n, tc.warm, tc.every, i)
+				// Step path: the invariant-checking per-reference loop.
+				stepCfg := cfg
+				stepCfg.CheckInvariants = true
+				stepped := mc.run(t, stepCfg, trc)
+				if len(stepped.Timeline) != len(batch.Timeline) {
+					t.Fatalf("n=%d warm=%d every=%d: step path records %d samples, run path %d",
+						tc.n, tc.warm, tc.every, len(stepped.Timeline), len(batch.Timeline))
+				}
+				for i := range batch.Timeline {
+					if stepped.Timeline[i] != batch.Timeline[i] {
+						t.Fatalf("n=%d warm=%d every=%d: step/run sample %d diverge",
+							tc.n, tc.warm, tc.every, i)
+					}
+				}
+
+				// Stream path: one ugly chunking that straddles both boundaries.
+				mid := tc.warm + tc.every/2
+				if mid > tc.n-1 {
+					mid = tc.n - 1
+				}
+				streamed, _, _ := feedInto(t, mc.build(t, cfg), trc, [][]trace.Ref{
+					trc.Refs[:1], trc.Refs[1:mid], trc.Refs[mid : tc.n-1], trc.Refs[tc.n-1:],
+				})
+				if len(streamed.Timeline) != len(batch.Timeline) {
+					t.Fatalf("n=%d warm=%d every=%d: stream path records %d samples, run path %d",
+						tc.n, tc.warm, tc.every, len(streamed.Timeline), len(batch.Timeline))
+				}
+				for i := range batch.Timeline {
+					if streamed.Timeline[i] != batch.Timeline[i] {
+						t.Fatalf("n=%d warm=%d every=%d: stream/run sample %d diverge",
+							tc.n, tc.warm, tc.every, i)
+					}
+				}
 			}
-		}
-
-		// Stream path: one ugly chunking that straddles both boundaries.
-		mid := tc.warm + tc.every/2
-		if mid > tc.n-1 {
-			mid = tc.n - 1
-		}
-		streamed, _, _ := feedAll(t, cfg, trc, [][]trace.Ref{
-			trc.Refs[:1], trc.Refs[1:mid], trc.Refs[mid : tc.n-1], trc.Refs[tc.n-1:],
 		})
-		if len(streamed.Timeline) != len(batch.Timeline) {
-			t.Fatalf("n=%d warm=%d every=%d: stream path records %d samples, run path %d",
-				tc.n, tc.warm, tc.every, len(streamed.Timeline), len(batch.Timeline))
-		}
-		for i := range batch.Timeline {
-			if streamed.Timeline[i] != batch.Timeline[i] {
-				t.Fatalf("n=%d warm=%d every=%d: stream/run sample %d diverge",
-					tc.n, tc.warm, tc.every, i)
-			}
-		}
 	}
 }
