@@ -4,6 +4,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -82,4 +84,52 @@ func TestPaperIDsResolve(t *testing.T) {
 			t.Errorf("PaperIDs lists %q but the registry rejects it: %v", id, err)
 		}
 	}
+}
+
+// TestResultsSchema pins the committed results/<id>.csv of every
+// artifact with a golden to what the experiments print now: the same
+// header, row count and non-numeric cells (benchmark, machine and size
+// labels) as the artifact generated over its full, non-quick space. The
+// trace is short, since only the numbers depend on its length. A schema
+// change therefore cannot leave results/ stale; regenerate it with
+// `vmexperiment -n 1000000 -csv results all > results/experiments_full.txt`.
+func TestResultsSchema(t *testing.T) {
+	for _, id := range PaperIDs() {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			committed, err := os.ReadFile(filepath.Join("..", "..", "..", "results", id+".csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := experiments.Run(id, experiments.Options{Instructions: 4_000, Seed: Opts().Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := shape(string(committed)), shape(rep.CSV)
+			if len(got) != len(want) {
+				t.Fatalf("results/%s.csv has %d rows, the experiment prints %d", id, len(got), len(want))
+			}
+			for r := range want {
+				if got[r] != want[r] {
+					t.Fatalf("results/%s.csv row %d (numbers as #):\n got: %s\nwant: %s", id, r+1, got[r], want[r])
+				}
+			}
+		})
+	}
+}
+
+// shape returns a CSV document's rows with every numeric cell replaced
+// by "#".
+func shape(csv string) []string {
+	rows := splitLines(csv)
+	for r, row := range rows {
+		cells := strings.Split(row, ",")
+		for c, cell := range cells {
+			if _, err := strconv.ParseFloat(strings.TrimSpace(cell), 64); err == nil {
+				cells[c] = "#"
+			}
+		}
+		rows[r] = strings.Join(cells, ",")
+	}
+	return rows
 }

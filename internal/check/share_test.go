@@ -4,19 +4,31 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
+// shareL1Sizes are the L1 sizes the sharing pin records and replays
+// at: Table 1's smallest and largest and one between.
+var shareL1Sizes = []int{1 << 10, 16 << 10, 128 << 10}
+
 // shareGeometries are the sibling L2 geometries the sharing pin replays
-// between; each pair differs in size, line and associativity at once.
+// between. The first three differ in size, line and associativity at
+// once. The last two are direct-mapped L2s of the 4-way one's line, one
+// smaller and one larger: the larger replays the smaller's misses, which
+// the 4-way L2, small enough to miss beyond the compulsory misses, must
+// not.
 var shareGeometries = []struct{ size, line, assoc int }{
 	{256 << 10, 32, 1},
 	{1 << 20, 128, 1},
-	{2 << 20, 64, 4},
+	{256 << 10, 64, 4},
+	{128 << 10, 64, 1},
+	{4 << 20, 64, 1},
 }
 
 // withUncached returns a copy of tr in which every fifth data reference
@@ -34,16 +46,25 @@ func withUncached(tr *trace.Trace) *trace.Trace {
 
 // TestL2ShareMatchesSimulate pins the L1-stage sharing of sweeps: for
 // every registered machine that may share, under each cache/TLB variant
-// and on a uniprogram and a multiprogrammed trace, every geometry in turn
-// records and every sibling replays its log, and each Result — leader's
-// and followers' — must be reflect.DeepEqual to sim.Simulate's. A walker
-// that started branching on an L2 outcome would make a follower's
-// replayed walk differ from its own and fail here. Machines whose refill
-// runs on user L2 misses must be refused.
+// and on a uniprogram and a multiprogrammed trace, each L1 size in turn
+// records (under a different L2 geometry each time) and every
+// configuration of its key at that L1 size or larger replays the log, in
+// sim.CompareShared's order and in reverse. Each Result — leader's and
+// followers' — must be reflect.DeepEqual to sim.Simulate's. A walker that
+// started branching on a cache outcome would make a follower's replayed
+// walk differ from its own and fail here. Machines whose refill runs on
+// user L2 misses must be refused.
 func TestL2ShareMatchesSimulate(t *testing.T) {
 	const n = 24_000
 	uni := genTrace(t, "gcc", n)
-	traces := []*trace.Trace{uni, mpTrace(t, n, 3_000)}
+	// Six address spaces of three programs, whose same-address lines
+	// contend for the same sets of the virtual L2s: a 4-way L2 then
+	// misses beyond the compulsory misses, and its LRU state shows.
+	mp, err := workload.Multiprogram([]string{"gcc", "ijpeg", "vortex", "gcc", "ijpeg", "vortex"}, 11, n, 1_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := []*trace.Trace{uni, mp}
 	variants := []struct {
 		name   string
 		mutate func(*sim.Config)
@@ -76,43 +97,13 @@ func TestL2ShareMatchesSimulate(t *testing.T) {
 		t.Run(vm, func(t *testing.T) {
 			t.Parallel()
 			var log sim.L2Log
-			var err error
 			for _, v := range variants {
 				trs := traces
 				if v.trace != nil {
 					trs = []*trace.Trace{v.trace}
 				}
 				for _, tr := range trs {
-					cfgs := make([]sim.Config, len(shareGeometries))
-					want := make([]*sim.Result, len(cfgs))
-					for i, g := range shareGeometries {
-						cfgs[i] = sim.Default(vm)
-						v.mutate(&cfgs[i])
-						cfgs[i].L2SizeBytes, cfgs[i].L2LineBytes, cfgs[i].L2Assoc = g.size, g.line, g.assoc
-						if want[i], err = sim.Simulate(cfgs[i], tr); err != nil {
-							t.Fatalf("%s/%s: Simulate(%s): %v", v.name, tr.Name, cfgs[i].Label(), err)
-						}
-					}
-					if want[0].Counters == want[1].Counters {
-						t.Fatalf("%s/%s: two L2 geometries gave equal counters; the pin would not see a wrong replay", v.name, tr.Name)
-					}
-					for lead := range cfgs {
-						got, err := sim.SimulateRecord(ctx, cfgs[lead], tr, &log)
-						if err != nil || !reflect.DeepEqual(got, want[lead]) {
-							t.Fatalf("%s/%s: leader %s differs from Simulate (err %v):\n got %+v\nwant %+v",
-								v.name, tr.Name, cfgs[lead].Label(), err, got, want[lead])
-						}
-						for f := range cfgs {
-							if f == lead {
-								continue
-							}
-							got, err := sim.ReplayL2(ctx, cfgs[f], &log)
-							if err != nil || !reflect.DeepEqual(got, want[f]) {
-								t.Fatalf("%s/%s: follower %s of leader %s differs from Simulate (err %v):\n got %+v\nwant %+v",
-									v.name, tr.Name, cfgs[f].Label(), cfgs[lead].Label(), err, got, want[f])
-							}
-						}
-					}
+					shareLockstep(t, ctx, &log, vm, v.name, v.mutate, tr)
 				}
 			}
 		})
@@ -122,11 +113,62 @@ func TestL2ShareMatchesSimulate(t *testing.T) {
 	}
 }
 
+// shareLockstep is one variant and trace of TestL2ShareMatchesSimulate.
+func shareLockstep(t *testing.T, ctx context.Context, log *sim.L2Log, vm, variant string, mutate func(*sim.Config), tr *trace.Trace) {
+	t.Helper()
+	g := len(shareGeometries)
+	cfgs := make([]sim.Config, 0, len(shareL1Sizes)*g)
+	want := make([]*sim.Result, 0, cap(cfgs))
+	for _, l1 := range shareL1Sizes {
+		for _, geom := range shareGeometries {
+			c := sim.Default(vm)
+			mutate(&c)
+			c.L1SizeBytes = l1
+			c.L2SizeBytes, c.L2LineBytes, c.L2Assoc = geom.size, geom.line, geom.assoc
+			res, err := sim.Simulate(c, tr)
+			if err != nil {
+				t.Fatalf("%s/%s: Simulate(%s): %v", variant, tr.Name, c.Label(), err)
+			}
+			cfgs, want = append(cfgs, c), append(want, res)
+		}
+	}
+	if want[0].Counters == want[1].Counters || want[0].Counters == want[g].Counters {
+		t.Fatalf("%s/%s: two cache geometries gave equal counters; the pin would not see a wrong replay", variant, tr.Name)
+	}
+	for k := range shareL1Sizes {
+		lead := k*g + k%g
+		got, err := sim.SimulateRecord(ctx, cfgs[lead], tr, log)
+		if err != nil || !reflect.DeepEqual(got, want[lead]) {
+			t.Fatalf("%s/%s: leader %s differs from Simulate (err %v):\n got %+v\nwant %+v",
+				variant, tr.Name, cfgs[lead].Label(), err, got, want[lead])
+		}
+		key, _ := sim.ShareKey(cfgs[lead])
+		var followers []int
+		for f := k * g; f < len(cfgs); f++ {
+			if fk, _ := sim.ShareKey(cfgs[f]); fk == key {
+				followers = append(followers, f)
+			}
+		}
+		slices.SortStableFunc(followers, func(a, b int) int { return sim.CompareShared(cfgs[a], cfgs[b]) })
+		for range 2 {
+			for _, f := range followers {
+				got, err := sim.ReplayL2(ctx, cfgs[f], log)
+				if err != nil || !reflect.DeepEqual(got, want[f]) {
+					t.Fatalf("%s/%s: follower %s of leader %s differs from Simulate (err %v):\n got %+v\nwant %+v",
+						variant, tr.Name, cfgs[f].Label(), cfgs[lead].Label(), err, got, want[f])
+				}
+			}
+			slices.Reverse(followers)
+		}
+	}
+}
+
 // TestL2ShareRefused pins who may not share: organizations that walk on
 // user L2 misses, an attached OS kernel, a cluster, timeline sampling and
 // invariant checking get no share key, cannot record, and cannot replay
-// another configuration's log. A log recorded under another key, or by
-// a failed run, is refused too.
+// another configuration's log. A log recorded at a larger L1, under
+// another key (a set-associative L1 of another size) or by a failed run
+// is refused too.
 func TestL2ShareRefused(t *testing.T) {
 	tr := genTrace(t, "gcc", 8_000)
 	ctx := context.Background()
@@ -159,9 +201,17 @@ func TestL2ShareRefused(t *testing.T) {
 		}
 	}
 
-	other := ultrix(func(c *sim.Config) { c.L1SizeBytes = 8 << 10 })
-	if _, err := sim.ReplayL2(ctx, other, &log); !errors.Is(err, sim.ErrL2LogRefused) {
-		t.Errorf("another L1 size: ReplayL2 = %v, want ErrL2LogRefused", err)
+	smaller := ultrix(func(c *sim.Config) { c.L1SizeBytes = 8 << 10 })
+	if _, err := sim.ReplayL2(ctx, smaller, &log); !errors.Is(err, sim.ErrL2LogRefused) {
+		t.Errorf("a smaller L1: ReplayL2 = %v, want ErrL2LogRefused", err)
+	}
+	var twoWay sim.L2Log
+	if _, err := sim.SimulateRecord(ctx, ultrix(func(c *sim.Config) { c.L1Assoc = 2 }), tr, &twoWay); err != nil {
+		t.Fatal(err)
+	}
+	larger := ultrix(func(c *sim.Config) { c.L1Assoc, c.L1SizeBytes = 2, 64<<10 })
+	if _, err := sim.ReplayL2(ctx, larger, &twoWay); !errors.Is(err, sim.ErrL2LogRefused) {
+		t.Errorf("a 2-way L1 at another size: ReplayL2 = %v, want ErrL2LogRefused", err)
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()

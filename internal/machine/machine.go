@@ -218,8 +218,12 @@ func (s *Spec) RefillEquivalent(o *Spec) bool {
 // nanoseconds, say) at validation instead of mid-sweep.
 const maxHandlerInstrs = 100_000
 
-// maxTLBEntries bounds a TLB level's slot count.
-const maxTLBEntries = 1 << 20
+// MaxTLBEntries bounds a TLB level's slot count, here and in
+// sim.Config. The largest TLB any bundled machine, experiment, example or
+// test builds has 1,024 entries (l2tlb's second level); 64× that leaves
+// room for larger sweeps while stopping a garbage value (a job's config
+// arrives over the wire) before a worker sizes a TLB's arrays from it.
+const MaxTLBEntries = 1 << 16
 
 // ParsePolicy maps a replacement-policy name to its tlb.Policy.
 func ParsePolicy(name string) (tlb.Policy, error) {
@@ -263,8 +267,8 @@ func (s *Spec) validateTLB() error {
 	}
 	for i, l := range s.TLB.Levels {
 		lvl := i + 1
-		if l.Entries <= 0 || l.Entries > maxTLBEntries {
-			return fmt.Errorf("tlb level %d: entries %d outside [1, %d]", lvl, l.Entries, maxTLBEntries)
+		if l.Entries <= 0 || l.Entries > MaxTLBEntries {
+			return fmt.Errorf("tlb level %d: entries %d outside [1, %d]", lvl, l.Entries, MaxTLBEntries)
 		}
 		if _, err := ParsePolicy(l.Replacement); err != nil {
 			return fmt.Errorf("tlb level %d: %w", lvl, err)

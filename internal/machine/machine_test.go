@@ -74,7 +74,7 @@ func TestValidateRejections(t *testing.T) {
 				TLBLevel{Entries: 64, Replacement: "random"})
 		}, "at most 2"},
 		{"zero-entries", func(s *Spec) { s.TLB.Levels[0].Entries = 0 }, "entries 0"},
-		{"huge-entries", func(s *Spec) { s.TLB.Levels[0].Entries = maxTLBEntries + 1 }, "outside"},
+		{"huge-entries", func(s *Spec) { s.TLB.Levels[0].Entries = MaxTLBEntries + 1 }, "outside"},
 		{"bad-policy", func(s *Spec) { s.TLB.Levels[0].Replacement = "mru" }, "unknown replacement policy"},
 		{"l1-setassoc", func(s *Spec) { s.TLB.Levels[0].Assoc = 4 }, "fully associative"},
 		{"negative-assoc", func(s *Spec) { s.TLB.Levels[0].Assoc = -1 }, "non-negative"},

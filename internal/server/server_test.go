@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/machine"
 	"repro/internal/rescache"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -189,7 +191,7 @@ func TestUnknownTraceAndJobAre404(t *testing.T) {
 }
 
 func TestInvalidSubmissionsAre400(t *testing.T) {
-	_, ts := startServer(t, Config{Workers: 1, QueueBound: 4})
+	s, ts := startServer(t, Config{Workers: 1, QueueBound: 4})
 	sha := uploadTrace(t, ts.URL, testTrace(t, 200))
 
 	// Wrong protocol version.
@@ -213,6 +215,35 @@ func TestInvalidSubmissionsAre400(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty job: status %d, want 400", resp.StatusCode)
+	}
+	// Cache and TLB sizes over their caps are refused, and build
+	// nothing: admitting one allocates less than one of the arrays its
+	// sizes call for would take.
+	for _, tc := range []struct {
+		name   string
+		mutate func(*sim.Config)
+	}{
+		{"l1", func(c *sim.Config) { c.L1SizeBytes, c.L2SizeBytes = 2*sim.MaxCacheBytes, 2*sim.MaxCacheBytes }},
+		{"l2", func(c *sim.Config) { c.L2SizeBytes = 2 * sim.MaxCacheBytes }},
+		{"tlb", func(c *sim.Config) { c.TLBEntries = 2 * machine.MaxTLBEntries }},
+		{"tlb2", func(c *sim.Config) { c.TLB2Entries = 2 * machine.MaxTLBEntries }},
+	} {
+		cfg := sim.Default(sim.VMUltrix)
+		tc.mutate(&cfg)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp = submit(t, ts.URL, sha, []sim.Config{cfg})
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s over its cap: status %d, want 400", tc.name, resp.StatusCode)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s over its cap: admission allocated %d bytes", tc.name, grew)
+		}
+	}
+	if q := s.queued.Load(); q != 0 {
+		t.Fatalf("%d points queued after refusals", q)
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/api"
@@ -59,12 +60,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 	s.streamsTotal.Inc()
-	defer func() {
+	// The slot frees as soon as the stream's outcome is decided, before
+	// the terminal event goes out: a client that starts its next stream
+	// on seeing that event must find the slot free. The drain
+	// WaitGroup still covers the whole handler.
+	release := sync.OnceFunc(func() {
 		s.mu.Lock()
 		s.streams--
 		s.mu.Unlock()
-		s.wg.Done()
-	}()
+	})
+	defer s.wg.Done()
+	defer release()
 
 	// The JSON preamble: everything the json.Decoder over-read past the
 	// closing brace is the start of the .vmtrc body, so the two readers
@@ -117,8 +123,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		return rc.Flush() == nil
 	}
+	// fail ends the response with an error event. It then closes the
+	// request body, which reads what remains of a short body, leaving the
+	// connection ready for its next request, and makes net/http close the
+	// connection after the response when more remains: net/http does not
+	// finish a full-duplex body itself before reading the connection's
+	// next request, and then fails that request.
 	fail := func(err error) {
+		release()
 		emit(api.StreamEvent{Type: api.StreamError, Error: err.Error(), Category: simerr.Category(err)})
+		r.Body.Close() //nolint:errcheck
 	}
 
 	if !emit(api.StreamEvent{
@@ -168,22 +182,21 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Read the body's end (in a well-formed body, only the transfer
-	// encoding's) before answering: net/http does not finish a
-	// full-duplex request body before reading the connection's next
-	// request, and then fails that request.
+	// encoding's) before answering, for the reason fail gives.
 	if _, err := io.CopyN(io.Discard, body, maxTrailingBytes+1); err != io.EOF {
 		if err == nil {
 			err = fmt.Errorf("more than %d bytes follow the trace's last record: %w",
 				maxTrailingBytes, simerr.ErrTraceCorrupt)
 		}
 		fail(err)
-		panic(http.ErrAbortHandler) // closes the connection, body unread
+		return
 	}
 	res, err := eng.EndStream()
 	if err != nil {
 		fail(err)
 		return
 	}
+	release()
 	// The trailing partial interval (if any) exists only after EndStream;
 	// push it so the sample events and Result.Timeline are identical.
 	for i := emitted; i < len(res.Timeline); i++ {

@@ -123,8 +123,9 @@ func TestMulticoreRerunAllocationFree(t *testing.T) {
 // TestL2ReplayAllocationFree pins the shared-L1 path's memory: once a
 // log is warm, recording into it again allocates nothing beyond the run
 // itself; a follower on a log with no L2 caches yet allocates at most
-// its Result plus its L2 caches (one per side; one when unified); and a
-// follower whose L2 fits the log's caches allocates only its Result.
+// its Result plus its L2 caches (one per side; one when unified); and
+// followers whose caches fit the log's — at a smaller or larger L2, and
+// at a larger L1 — allocate only their Results.
 func TestL2ReplayAllocationFree(t *testing.T) {
 	tr := tr(t, "gcc", 20_000)
 	ctx := context.Background()
@@ -175,17 +176,19 @@ func TestL2ReplayAllocationFree(t *testing.T) {
 			if cold > budget {
 				t.Errorf("a follower on a log without L2 caches allocates %.1f objects, want <= %.1f (Result + L2 caches)", cold, budget)
 			}
-			smaller := follower
+			smaller, larger, largerL1 := follower, follower, follower
 			smaller.L2SizeBytes = 512 << 10
+			larger.L2SizeBytes = 2 << 20
+			largerL1.L1SizeBytes = 64 << 10
 			warm := testing.AllocsPerRun(runs, func() {
-				for _, c := range []Config{follower, smaller} {
+				for _, c := range []Config{smaller, follower, larger, largerL1} {
 					if _, err := ReplayL2(ctx, c, &log); err != nil {
 						t.Fatal(err)
 					}
 				}
 			})
-			if warm > 2 {
-				t.Errorf("two followers on a warm log allocate %.1f objects, want <= 2 (their Results)", warm)
+			if warm > 4 {
+				t.Errorf("four followers on a warm log allocate %.1f objects, want <= 4 (their Results)", warm)
 			}
 		})
 	}

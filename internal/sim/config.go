@@ -348,12 +348,12 @@ func (c Config) validate() error {
 	if err != nil {
 		return err
 	}
-	l1 := cache.Config{SizeBytes: c.L1SizeBytes, LineBytes: c.L1LineBytes, Assoc: c.L1Assoc}
-	if err := l1.Validate(); err != nil {
-		return fmt.Errorf("sim: L1: %w", err)
-	}
-	if err := c.validateL2(); err != nil {
+	if err := c.validateCaches(); err != nil {
 		return err
+	}
+	if c.TLBEntries > machine.MaxTLBEntries || c.TLB2Entries > machine.MaxTLBEntries {
+		return fmt.Errorf("sim: TLB entries (%d, second level %d) exceed %d",
+			c.TLBEntries, c.TLB2Entries, machine.MaxTLBEntries)
 	}
 	if refill != nil && refill.UsesTLB() {
 		tc := tlb.Config{
@@ -390,12 +390,14 @@ func (c Config) validate() error {
 	return nil
 }
 
-// validateL2 holds validate's checks of the L2 geometry, the only
-// fields in which configurations sharing an L1 stage differ (see
-// ShareKey).
-func (c Config) validateL2() error {
-	l2 := cache.Config{SizeBytes: c.L2SizeBytes, LineBytes: c.L2LineBytes, Assoc: c.L2Assoc}
-	if err := l2.Validate(); err != nil {
+// validateCaches holds validate's checks of the cache geometry, L1 then
+// L2: the only fields in which configurations sharing an L1 stage differ
+// (see ShareKey).
+func (c Config) validateCaches() error {
+	if err := validateCache(cache.Config{SizeBytes: c.L1SizeBytes, LineBytes: c.L1LineBytes, Assoc: c.L1Assoc}); err != nil {
+		return fmt.Errorf("sim: L1: %w", err)
+	}
+	if err := validateCache(cache.Config{SizeBytes: c.L2SizeBytes, LineBytes: c.L2LineBytes, Assoc: c.L2Assoc}); err != nil {
 		return fmt.Errorf("sim: L2: %w", err)
 	}
 	if c.L2SizeBytes < c.L1SizeBytes {
@@ -404,10 +406,28 @@ func (c Config) validateL2() error {
 	return nil
 }
 
+// validateCache checks one cache's geometry, size cap included.
+func validateCache(g cache.Config) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	if g.SizeBytes > MaxCacheBytes {
+		return fmt.Errorf("cache: size %d exceeds %d", g.SizeBytes, MaxCacheBytes)
+	}
+	return nil
+}
+
 // MaxCores bounds Config.Cores — generous for a model whose cores step
 // round-robin, tight enough to catch a garbage value before it
 // allocates that many cache hierarchies.
 const MaxCores = 256
+
+// MaxCacheBytes bounds each cache's size per side. The largest cache any
+// experiment, example or test builds is the 4 MB L2 of figures 6–9; four
+// times that leaves room for larger sweeps while stopping a garbage
+// value (a job's config arrives over the wire) before a worker sizes a
+// line array from it.
+const MaxCacheBytes = 16 << 20
 
 // Label returns a compact identifier for tables and CSV rows. The
 // multicore knobs are appended only when set, so single-core

@@ -447,7 +447,7 @@ func (e *Engine) runPhase(refs []trace.Ref) {
 			} else {
 				lvl := e.icache.AccessMissedL1(userCacheAddr(r.ASID, r.PC))
 				if e.l2log != nil {
-					e.l2log.add(userCacheAddr(r.ASID, r.PC), stats.L2IMiss, false, lvl, live)
+					e.l2log.add(userCacheAddr(r.ASID, r.PC), stats.L1IMiss, stats.L2IMiss, false, lvl, live)
 				}
 				if lvl != cache.L1Hit && live {
 					e.c.Charge(stats.L1IMiss, stats.L1MissPenalty)
@@ -493,7 +493,7 @@ func (e *Engine) runPhase(refs []trace.Ref) {
 		} else {
 			lvl := e.dcache.AccessMissedL1(userCacheAddr(r.ASID, r.Data))
 			if e.l2log != nil {
-				e.l2log.add(userCacheAddr(r.ASID, r.Data), stats.L2DMiss, true, lvl, live)
+				e.l2log.add(userCacheAddr(r.ASID, r.Data), stats.L1DMiss, stats.L2DMiss, true, lvl, live)
 			}
 			if lvl != cache.L1Hit && live {
 				e.c.Charge(stats.L1DMiss, stats.L1MissPenalty)
@@ -710,7 +710,7 @@ func (e *Engine) ExecHandler(comp stats.Component, pc uint64, n int, fetchesCode
 			continue
 		}
 		if e.l2log != nil {
-			e.l2log.add(pc+uint64(i)*4, stats.HandlerMem, false, lvl, e.live)
+			e.l2log.add(pc+uint64(i)*4, stats.HandlerL2, stats.HandlerMem, false, lvl, e.live)
 		}
 		if e.live {
 			e.c.Charge(stats.HandlerL2, stats.L1MissPenalty)
@@ -728,7 +728,7 @@ func (e *Engine) PTELoad(a uint64, l2c, memc stats.Component) cache.Level {
 		return lvl
 	}
 	if e.l2log != nil {
-		e.l2log.add(a, memc, true, lvl, e.live)
+		e.l2log.add(a, l2c, memc, true, lvl, e.live)
 	}
 	if e.live {
 		e.c.Charge(l2c, stats.L1MissPenalty)

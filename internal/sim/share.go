@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -13,25 +14,27 @@ import (
 )
 
 // Sweeps over cache geometry share L1 stages: for a TLB-refilled
-// organization nothing above the L2 depends on the L2's outcome, and the
-// L2 sees exactly the L1 misses, so one recording run (SimulateRecord)
-// serves every sibling L2 geometry through a replay of its L2-bound
-// accesses (ReplayL2). DESIGN.md §8 states the invariant and the reason
-// for each eligibility rule.
+// organization nothing outside the caches depends on a cache outcome, the
+// L2 sees exactly the L1 misses, and direct-mapped caches of one line size
+// obey inclusion, so one recording run (SimulateRecord) at a group's
+// smallest L1 serves every sibling cache geometry through a replay of its
+// L1-miss stream (ReplayL2). DESIGN.md §8 states the invariant and the
+// reason for each eligibility rule.
 
 // ErrL2LogRefused reports a ReplayL2 whose log cannot serve the
-// configuration: the log was recorded under another share key, its
-// recording failed, or the configuration may not share at all. The
-// caller runs the full engine instead.
+// configuration: the log was recorded under another share key or at a
+// larger L1, its recording failed, or the configuration may not share at
+// all. The caller runs the full engine instead.
 var ErrL2LogRefused = errors.New("sim: L2 log does not serve this configuration")
 
 // ShareKey returns the key under which cfg's run may share its L1 stage:
-// cfg with the L2 geometry (L2SizeBytes, L2LineBytes, L2Assoc) cleared.
-// Configurations with equal keys produce identical traffic above the L2.
-// ok is false when cfg may not share at all: a multicore cluster, an
-// attached OS kernel, timeline sampling, invariant checking, an
-// organization whose refill runs on user L2 misses (notlb, spur — their
-// walkers branch on an L2 outcome), or a machine that does not resolve.
+// cfg with the L2 geometry (L2SizeBytes, L2LineBytes, L2Assoc) cleared,
+// and L1SizeBytes too when the L1 is direct-mapped. Configurations with
+// equal keys send identical traffic to their L1s. ok is false when cfg
+// may not share at all: a multicore cluster, an attached OS kernel,
+// timeline sampling, invariant checking, an organization whose refill
+// runs on user L2 misses (notlb, spur — their walkers branch on a cache
+// outcome), or a machine that does not resolve.
 func ShareKey(cfg Config) (key Config, ok bool) {
 	spec, err := cfg.resolveMachine()
 	if err != nil {
@@ -47,71 +50,170 @@ func (c Config) shareKey(walksOnL2Miss bool) (Config, bool) {
 	if walksOnL2Miss || c.Cores > 1 || c.needsKernel() || c.SampleEvery != 0 || c.CheckInvariants {
 		return Config{}, false
 	}
-	return c.withoutL2(), true
+	return c.withoutSizes(), true
 }
 
-// withoutL2 returns c with its L2 geometry cleared.
-func (c Config) withoutL2() Config {
+// withoutSizes returns c with the cache fields a share group may vary
+// cleared: the L2 geometry, and the L1 size when inclusion holds for it.
+// A set-associative L1 updates its LRU state on a hit, so a larger one is
+// not a filter of a smaller one's misses and keeps its size.
+func (c Config) withoutSizes() Config {
 	c.L2SizeBytes, c.L2LineBytes, c.L2Assoc = 0, 0, 0
+	if c.L1Assoc <= 1 {
+		c.L1SizeBytes = 0
+	}
 	return c
 }
 
-// l2Access is one access the engine sent to an L2: the address, the side
-// (instruction or data; one L2 serves both under UnifiedCaches) and the
-// component an L2 miss there charges.
-type l2Access struct {
+// CompareShared orders the points of one share group (equal ShareKey)
+// so that each can replay from the streams of those before it: the
+// smallest L1 first, which records, and within one L1 size by L2 line,
+// each line's L2s smallest first, whose misses serve the larger
+// direct-mapped ones. It returns a negative number when a should run
+// before b, a positive one when after, and zero when either order serves.
+func CompareShared(a, b Config) int {
+	return cmp.Or(
+		cmp.Compare(a.L1SizeBytes, b.L1SizeBytes),
+		cmp.Compare(a.L2LineBytes, b.L2LineBytes),
+		cmp.Compare(a.L2SizeBytes, b.L2SizeBytes),
+	)
+}
+
+// Cache levels, indexing access.comp.
+const (
+	atL1 = iota
+	atL2
+)
+
+// access is one access the engine sent past an L1 hit: the address, the
+// components a miss charges at each level (atL1, atL2), and the side
+// (instruction or data; one cache serves both under UnifiedCaches). It
+// is 16 bytes.
+type access struct {
 	addr  uint64
-	comp  uint8
+	comp  [2]uint8
 	dside bool
 }
 
-// L2Log is the L2-bound access stream of one recorded run together with
-// the rest of its Result, which configurations sharing its key have in
-// common. The zero value is an empty log; SimulateRecord refills it,
-// reusing its buffer and its replay caches, so one log per sweep worker
-// serves every group.
+// stream is an access stream that one cache level let through: its
+// accesses, the index of the first one in the measured window, and that
+// window's misses at the level per component.
+type stream struct {
+	acc    []access
+	live   int
+	misses [stats.NumComponents]uint64
+}
+
+// pass sends s through the caches (instruction side, data side; the same
+// cache when unified) and returns the measured window's misses per
+// component charged at lvl. When out is non-nil it also receives the
+// accesses that missed, as the stream the next level sees. Cancellation
+// is polled as RunContext polls it.
+func (s *stream) pass(ctx context.Context, il, dl *cache.Cache, lvl int, out *stream) ([stats.NumComponents]uint64, error) {
+	var misses [stats.NumComponents]uint64
+	if out != nil {
+		out.acc, out.live = out.acc[:0], 0
+	}
+	done := ctx.Done()
+	for i := range s.acc {
+		if done != nil && i%cancelCheckRefs == 0 && ctx.Err() != nil {
+			return misses, fmt.Errorf("sim: cache replay cancelled at access %d: %w: %w",
+				i, simerr.ErrCancelled, context.Cause(ctx))
+		}
+		a := &s.acc[i]
+		c := il
+		if a.dside {
+			c = dl
+		}
+		if c.Access(a.addr) {
+			continue
+		}
+		if i >= s.live {
+			misses[a.comp[lvl]]++
+		}
+		if out != nil {
+			if i < s.live {
+				out.live++
+			}
+			out.acc = append(out.acc, *a)
+		}
+	}
+	if out != nil {
+		out.misses = misses
+	}
+	return misses, nil
+}
+
+// L2Log is the L1-miss stream of one recorded run together with the rest
+// of its Result, which configurations sharing its key have in common. The
+// zero value is an empty log; SimulateRecord refills it, reusing its
+// buffers and its replay caches, so one log per sweep worker serves every
+// group.
 type L2Log struct {
-	key      Config
-	ok       bool
-	accesses []l2Access
-	// live is the index of the first access of the measured window.
-	live int
-	// misses counts the recorder's own measured-window L2 misses per
-	// component; base is its final counters with those charges removed.
-	misses   [stats.NumComponents]uint64
+	key Config
+	ok  bool
+	// rec is the recorder's L1-miss stream and l1Size its L1 size; its
+	// misses are the recorder's measured-window L1 misses, recL2 its
+	// measured-window L2 misses.
+	rec    stream
+	l1Size int
+	recL2  [stats.NumComponents]uint64
+	// base is the recorder's final counters without its measured-window
+	// L1- and L2-miss charges.
 	base     stats.Counters
 	chain    float64
 	workload string
-	// l2 holds the L2 caches replays run in (instruction side, data
-	// side). Each replay resets them, reusing their arrays, so a warm
-	// log's followers allocate no cache memory; the zero log holds none.
-	l2 [2]cache.Cache
+
+	// l1s is the L1-miss stream at L1 size l1At (0: none yet), derived
+	// from rec in the caches l1 (instruction side, data side). l2s is
+	// the L2-miss stream of the direct-mapped L2 l2At names (zero: none),
+	// behind the L1 of that size; followers' L2s replay in the caches
+	// l2. Replays reset the caches, reusing their arrays, so a warm log's
+	// followers allocate no cache memory; the zero log holds none.
+	l1s  stream
+	l1At int
+	l1   [2]cache.Cache
+	l2s  stream
+	l2At l2Tag
+	l2   [2]cache.Cache
 }
 
+// l2Tag names a direct-mapped L2 behind an L1: the L1 size, the L2 line
+// and the L2 size.
+type l2Tag struct{ l1, line, size int }
+
 // add logs one access that left an L1 (lvl is the hierarchy's answer;
-// an L1 hit never reached the L2). live is the engine's phase. It stays
-// out of line: inlined, its append would grow runPhase's loop, which
-// every unshared run pays for.
+// an L1 hit never reached the L2): its address, the components its L1
+// and L2 misses charge, and its side. live is the engine's phase. It
+// stays out of line: inlined, its append would grow runPhase's loop,
+// which every unshared run pays for.
 //
 //go:noinline
-func (l *L2Log) add(a uint64, comp stats.Component, dside bool, lvl cache.Level, live bool) {
+func (l *L2Log) add(a uint64, l1c, l2c stats.Component, dside bool, lvl cache.Level, live bool) {
 	if lvl == cache.L1Hit {
 		return
 	}
-	l.accesses = append(l.accesses, l2Access{addr: a, comp: uint8(comp), dside: dside})
+	l.rec.acc = append(l.rec.acc, access{addr: a, comp: [2]uint8{uint8(l1c), uint8(l2c)}, dside: dside})
 	if !live {
-		l.live = len(l.accesses)
-	} else if lvl == cache.Memory {
-		l.misses[comp]++
+		l.rec.live = len(l.rec.acc)
+		return
+	}
+	l.rec.misses[l1c]++
+	if lvl == cache.Memory {
+		l.recL2[l2c]++
 	}
 }
 
 // SimulateRecord is SimulateContext for a configuration ShareKey accepts:
 // it returns exactly SimulateContext's Result and also records into log
-// every access the run sent to an L2. The log serves ReplayL2 only after
-// a successful return; after a failure ReplayL2 refuses it.
+// every access the run sent past an L1. The log serves ReplayL2 only
+// after a successful return; after a failure ReplayL2 refuses it.
 func SimulateRecord(ctx context.Context, cfg Config, tr *trace.Trace, log *L2Log) (*Result, error) {
-	*log = L2Log{accesses: log.accesses[:0], l2: log.l2}
+	*log = L2Log{
+		rec: stream{acc: log.rec.acc[:0]},
+		l1s: stream{acc: log.l1s.acc[:0]}, l1: log.l1,
+		l2s: stream{acc: log.l2s.acc[:0]}, l2: log.l2,
+	}
 	e, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err
@@ -125,56 +227,102 @@ func SimulateRecord(ctx context.Context, cfg Config, tr *trace.Trace, log *L2Log
 	if err != nil {
 		return nil, err
 	}
-	log.key, log.ok = key, true
+	log.key, log.ok, log.l1Size = key, true, cfg.L1SizeBytes
 	log.base = res.Counters
-	for c, n := range log.misses {
-		log.base.Events[c] -= n
-		log.base.Cycles[c] -= n * stats.L2MissPenalty
+	for c, n := range log.rec.misses {
+		log.base.Events[c] -= n + log.recL2[c]
+		log.base.Cycles[c] -= n*stats.L1MissPenalty + log.recL2[c]*stats.L2MissPenalty
 	}
 	log.chain, log.workload = res.AvgChainLength, res.Workload
 	return res, nil
 }
 
 // ReplayL2 returns cfg's Result from a log recorded under cfg's share
-// key by replaying the logged accesses through L2 caches of cfg's
-// geometry alone: the log's own, reset for it. The Result equals
-// SimulateContext's (reflect.DeepEqual). A log that cannot serve
-// cfg is refused with ErrL2LogRefused. The recording run validated every
-// field cfg shares with it, so cfg's own validation is its L2
-// geometry's: an invalid one fails exactly as Simulate fails. Calls on
-// one log must not overlap. Cancellation is polled as RunContext polls
-// it.
+// key at an L1 no larger than cfg's, by replaying the log through caches
+// of cfg's geometry alone: the log's own, reset for it. A larger
+// (direct-mapped) L1 sees only the recorded L1 misses, and a
+// direct-mapped L2 only the misses of the smallest L2 of its line already
+// replayed behind the same L1; by inclusion the accesses left out hit
+// and change no state. The Result equals SimulateContext's
+// (reflect.DeepEqual). A log that cannot serve cfg is refused with
+// ErrL2LogRefused. The recording run validated every field cfg shares
+// with it, so cfg's own validation is its cache geometry's: an invalid
+// one fails exactly as Simulate fails. Calls on one log must not
+// overlap. Cancellation is polled as RunContext polls it.
 func ReplayL2(ctx context.Context, cfg Config, log *L2Log) (*Result, error) {
-	// log.key came from an accepted shareKey, whose rule reads no L2
+	// log.key came from an accepted shareKey, whose rule reads no cache
 	// field, so a match also makes cfg eligible.
-	if !log.ok || cfg.withoutL2() != log.key {
+	if !log.ok || cfg.withoutSizes() != log.key || cfg.L1SizeBytes < log.l1Size {
 		return nil, fmt.Errorf("sim: %s: %w", cfg.Label(), ErrL2LogRefused)
 	}
-	if err := classifyInvalid(cfg.validateL2()); err != nil {
+	if err := classifyInvalid(cfg.validateCaches()); err != nil {
 		return nil, err
 	}
-	l2cfg := cache.Config{SizeBytes: cfg.L2SizeBytes, LineBytes: cfg.L2LineBytes, Assoc: cfg.L2Assoc}
-	il2, dl2 := &log.l2[0], &log.l2[0]
-	il2.Reset(l2cfg)
-	if !cfg.UnifiedCaches {
-		dl2 = &log.l2[1]
-		dl2.Reset(l2cfg)
+	l1, err := log.l1Stream(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	l2misses, err := log.l2Misses(ctx, cfg, l1)
+	if err != nil {
+		return nil, err
 	}
 	c := log.base
-	done := ctx.Done()
-	for i := range log.accesses {
-		if done != nil && i%cancelCheckRefs == 0 && ctx.Err() != nil {
-			return nil, fmt.Errorf("sim: L2 replay cancelled at access %d: %w: %w",
-				i, simerr.ErrCancelled, context.Cause(ctx))
-		}
-		a := &log.accesses[i]
-		l2 := il2
-		if a.dside {
-			l2 = dl2
-		}
-		if !l2.Access(a.addr) && i >= log.live {
-			c.Charge(stats.Component(a.comp), stats.L2MissPenalty)
-		}
+	for comp, n := range l1.misses {
+		c.Events[comp] += n + l2misses[comp]
+		c.Cycles[comp] += n*stats.L1MissPenalty + l2misses[comp]*stats.L2MissPenalty
 	}
 	return &Result{Config: cfg, Workload: log.workload, Counters: c, AvgChainLength: log.chain}, nil
+}
+
+// resetSides resets the cache pair for geom, one cache when unified, and
+// returns the instruction and data sides.
+func resetSides(pair *[2]cache.Cache, geom cache.Config, unified bool) (il, dl *cache.Cache) {
+	il, dl = &pair[0], &pair[0]
+	il.Reset(geom)
+	if !unified {
+		dl = &pair[1]
+		dl.Reset(geom)
+	}
+	return il, dl
+}
+
+// l1Stream returns the L1-miss stream at cfg's L1 size: the recorded one,
+// or the one it leaves through a direct-mapped L1 of that size, derived
+// once per size.
+func (l *L2Log) l1Stream(ctx context.Context, cfg Config) (*stream, error) {
+	if cfg.L1SizeBytes == l.l1Size {
+		return &l.rec, nil
+	}
+	if l.l1At != cfg.L1SizeBytes {
+		l.l1At = 0
+		geom := cache.Config{SizeBytes: cfg.L1SizeBytes, LineBytes: cfg.L1LineBytes, Assoc: cfg.L1Assoc}
+		il, dl := resetSides(&l.l1, geom, cfg.UnifiedCaches)
+		if _, err := l.rec.pass(ctx, il, dl, atL1, &l.l1s); err != nil {
+			return nil, err
+		}
+		l.l1At = cfg.L1SizeBytes
+	}
+	return &l.l1s, nil
+}
+
+// l2Misses replays l1, the L1-miss stream at cfg's L1 size, through L2s
+// of cfg's geometry and returns their measured-window misses. A
+// direct-mapped L2 replays the kept L2-miss stream when one of its line
+// and no larger size exists behind the same L1, and otherwise keeps its
+// own misses for the larger ones after it.
+func (l *L2Log) l2Misses(ctx context.Context, cfg Config, l1 *stream) ([stats.NumComponents]uint64, error) {
+	geom := cache.Config{SizeBytes: cfg.L2SizeBytes, LineBytes: cfg.L2LineBytes, Assoc: cfg.L2Assoc}
+	il, dl := resetSides(&l.l2, geom, cfg.UnifiedCaches)
+	if cfg.L2Assoc > 1 {
+		return l1.pass(ctx, il, dl, atL2, nil)
+	}
+	if at := l.l2At; at.l1 == cfg.L1SizeBytes && at.line == cfg.L2LineBytes && at.size <= cfg.L2SizeBytes {
+		return l.l2s.pass(ctx, il, dl, atL2, nil)
+	}
+	l.l2At = l2Tag{}
+	misses, err := l1.pass(ctx, il, dl, atL2, &l.l2s)
+	if err == nil {
+		l.l2At = l2Tag{cfg.L1SizeBytes, cfg.L2LineBytes, cfg.L2SizeBytes}
+	}
+	return misses, err
 }

@@ -18,19 +18,23 @@ import (
 	"repro/internal/trace"
 )
 
-// shareConfigs is a sweep that forms share groups: ultrix at two L1
-// sizes × three L2 geometries (groups 0–2 and 3–5), then a notlb point,
-// which never shares.
+// shareConfigs is a sweep that forms one share group: ultrix at two L1
+// sizes, largest first, × three L2 sizes, which runs smallest L1 first
+// (points 3–5, then 0–2; point 3 leads); then a notlb point, which never
+// shares.
 func shareConfigs() []sim.Config {
 	base := sim.Default(sim.VMUltrix)
 	base.WarmupInstrs = 1_000
 	cfgs := Space{
 		Base:    base,
-		L1Sizes: []int{4 << 10, 8 << 10},
+		L1Sizes: []int{8 << 10, 4 << 10},
 		L2Sizes: []int{256 << 10, 1 << 20, 2 << 20},
 	}.Configs()
 	return append(cfgs, sim.Default(sim.VMNoTLB))
 }
+
+// shareRunOrder is the order in which one worker runs shareConfigs.
+var shareRunOrder = []int{3, 4, 5, 0, 1, 2, 6}
 
 // serialResults simulates every configuration on its own.
 func serialResults(t *testing.T, tr *trace.Trace, cfgs []sim.Config) []*sim.Result {
@@ -95,14 +99,15 @@ func TestSharedSweepMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShareFollowersReplay: followers of a successful leader replay its
-// log instead of reading the trace.
+// TestShareFollowersReplay: followers of a successful leader — the
+// first one at a larger L1 — replay its log instead of reading the
+// trace.
 func TestShareFollowersReplay(t *testing.T) {
 	tr := faultTrace(t, 8_000)
-	cfgs := shareConfigs()[:3]
+	cfgs := shareConfigs()[:4]
 	want := serialResults(t, tr, cfgs)
 	pts, err := RunWithOptions(context.Background(), tr, cfgs, Options{
-		Workers: 1, PointHook: truncateOn(tr, 1),
+		Workers: 1, PointHook: truncateOn(tr, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,16 +123,17 @@ func TestShareLeaderDeterministicFailure(t *testing.T) {
 	tr := faultTrace(t, 8_000)
 	cfgs := shareConfigs()
 	want := serialResults(t, tr, cfgs)
+	lead := shareRunOrder[0]
 	pts, err := RunWithOptions(context.Background(), tr, cfgs, Options{
-		Workers: 1, Retries: 3, PointHook: faults.FailFirst(0, 99, nil),
+		Workers: 1, Retries: 3, PointHook: faults.FailFirst(lead, 99, nil),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(pts[0].Err, faults.ErrInjected) || pts[0].Attempts != 1 {
-		t.Fatalf("leader: err %v after %d attempts, want one ErrInjected attempt", pts[0].Err, pts[0].Attempts)
+	if !errors.Is(pts[lead].Err, faults.ErrInjected) || pts[lead].Attempts != 1 {
+		t.Fatalf("leader: err %v after %d attempts, want one ErrInjected attempt", pts[lead].Err, pts[lead].Attempts)
 	}
-	for i := 1; i < len(cfgs); i++ {
+	for _, i := range shareRunOrder[1:] {
 		requireSerial(t, pts, want, i)
 	}
 }
@@ -228,10 +234,11 @@ func TestShareCancelMidGroup(t *testing.T) {
 	var mu sync.Mutex
 	finished := map[int]bool{}
 	dir := t.TempDir()
+	lead, second := shareRunOrder[0], shareRunOrder[1]
 	pts, err := RunWithOptions(ctx, tr, cfgs, Options{
 		Workers: 1, JournalDir: dir,
 		PointHook: func(_ context.Context, i, _ int) error {
-			if i == 1 {
+			if i == second {
 				cancel()
 			}
 			return nil
@@ -245,16 +252,17 @@ func TestShareCancelMidGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pts[0].Err != nil || !finished[0] || !finished[1] {
-		t.Fatalf("leader err %v; finished %v", pts[0].Err, finished)
+	if pts[lead].Err != nil || !finished[lead] || !finished[second] {
+		t.Fatalf("leader err %v; finished %v", pts[lead].Err, finished)
 	}
-	if !errors.Is(pts[2].Err, simerr.ErrCancelled) || finished[2] {
-		t.Fatalf("rest of the group: err %v, PointDone called %v", pts[2].Err, finished[2])
-	}
-	for i := 3; i < len(cfgs); i++ {
-		if !errors.Is(pts[i].Err, simerr.ErrCancelled) {
-			t.Fatalf("point %d after the cancel: err %v", i, pts[i].Err)
+	rest := shareRunOrder[2:]
+	for _, i := range rest[:len(rest)-1] {
+		if !errors.Is(pts[i].Err, simerr.ErrCancelled) || finished[i] {
+			t.Fatalf("rest of the group, point %d: err %v, PointDone called %v", i, pts[i].Err, finished[i])
 		}
+	}
+	if i := rest[len(rest)-1]; !errors.Is(pts[i].Err, simerr.ErrCancelled) {
+		t.Fatalf("point %d after the cancel: err %v", i, pts[i].Err)
 	}
 	resumed, err := RunWithOptions(context.Background(), tr, cfgs, Options{Workers: 2, JournalDir: dir, Resume: true})
 	if err != nil {
@@ -267,26 +275,38 @@ func TestShareCancelMidGroup(t *testing.T) {
 	}
 }
 
-// TestShareInvalidFollowerL2: a follower whose L2 geometry is invalid
-// fails exactly as Simulate fails, and its siblings are unaffected.
+// TestShareInvalidFollowerL2: a follower whose L2 geometry, or L1 size
+// above the leader's, is invalid fails exactly as Simulate fails, and its
+// siblings are unaffected.
 func TestShareInvalidFollowerL2(t *testing.T) {
 	tr := faultTrace(t, 8_000)
-	cfgs := shareConfigs()[:3]
-	cfgs[1].L2SizeBytes = 3 << 20
-	_, simErr := sim.Simulate(cfgs[1], tr)
-	if !errors.Is(simErr, simerr.ErrConfigInvalid) {
-		t.Fatalf("Simulate of a 3 MB L2 = %v, want ErrConfigInvalid", simErr)
-	}
-	pts, err := RunWithOptions(context.Background(), tr, cfgs, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pts[1].Err == nil || pts[1].Err.Error() != simErr.Error() || simerr.Category(pts[1].Err) != "config" {
-		t.Fatalf("follower err = %v, want Simulate's %v", pts[1].Err, simErr)
-	}
-	want := serialResults(t, tr, []sim.Config{cfgs[0], cfgs[2]})
-	if !reflect.DeepEqual(pts[0].Result, want[0]) || !reflect.DeepEqual(pts[2].Result, want[1]) {
-		t.Fatal("siblings of the invalid follower differ from a serial run")
+	for _, tc := range []struct {
+		name   string
+		mutate func(cfgs []sim.Config)
+	}{
+		{"3MB-L2", func(cfgs []sim.Config) { cfgs[1].L2SizeBytes = 3 << 20 }},
+		// Point 0 leads at 2 KB, below the 3 KB follower.
+		{"3KB-L1", func(cfgs []sim.Config) { cfgs[0].L1SizeBytes, cfgs[1].L1SizeBytes = 2<<10, 3<<10 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfgs := shareConfigs()[:3]
+			tc.mutate(cfgs)
+			_, simErr := sim.Simulate(cfgs[1], tr)
+			if !errors.Is(simErr, simerr.ErrConfigInvalid) {
+				t.Fatalf("Simulate of %s = %v, want ErrConfigInvalid", tc.name, simErr)
+			}
+			pts, err := RunWithOptions(context.Background(), tr, cfgs, Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pts[1].Err == nil || pts[1].Err.Error() != simErr.Error() || simerr.Category(pts[1].Err) != "config" {
+				t.Fatalf("follower err = %v, want Simulate's %v", pts[1].Err, simErr)
+			}
+			want := serialResults(t, tr, []sim.Config{cfgs[0], cfgs[2]})
+			if !reflect.DeepEqual(pts[0].Result, want[0]) || !reflect.DeepEqual(pts[2].Result, want[1]) {
+				t.Fatal("siblings of the invalid follower differ from a serial run")
+			}
+		})
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -96,10 +97,10 @@ type Options struct {
 //
 // Memory: a sweep holds one copy of the trace (shared by every worker)
 // plus, per worker, one live engine — cache and TLB arrays, typically a
-// few hundred KB per point — or the L2 caches of a replay, and one
-// reused L2 log (16 bytes per access that leaves an L1; DESIGN.md §8),
-// so peak memory is O(trace + workers), not O(configurations). Results
-// are two small structs per point.
+// few hundred KB per point — or the caches of a replay, and one reused
+// L2 log (at most three streams of 16 bytes per access that leaves an
+// L1; DESIGN.md §8), so peak memory is O(trace + workers), not
+// O(configurations). Results are two small structs per point.
 func Run(tr *trace.Trace, cfgs []sim.Config, workers int) []Point {
 	return RunContext(context.Background(), tr, cfgs, workers)
 }
@@ -288,12 +289,12 @@ func RunWithOptions(ctx context.Context, tr *trace.Trace, cfgs []sim.Config, opt
 	}
 
 	// Each worker takes one group at a time. A group of two or more
-	// points shares its L1 stage: the first point records the accesses
-	// its run sends to the L2s into the worker's log, and every later
-	// point replays that log through its own L2 geometry, in caches the
-	// log keeps — or, when the leader failed, runs the full engine. Each
-	// point keeps its own attempt loop, Duration, journal record and
-	// PointDone call.
+	// points shares its L1 stage: the first point, the smallest L1,
+	// records the accesses its run sends past its L1s into the worker's
+	// log, and every later point replays that log through its own cache
+	// geometry, in caches the log keeps — or, when the leader failed,
+	// runs the full engine. Each point keeps its own attempt loop,
+	// Duration, journal record and PointDone call.
 	var wg sync.WaitGroup
 	next := make(chan []int)
 	for w := 0; w < workers; w++ {
@@ -373,8 +374,8 @@ type simulateFunc func(ctx context.Context, cfg sim.Config) (*sim.Result, error)
 
 // shareGroups partitions the points still to simulate into dispatch
 // units, ordered by their first index: the points that sim.ShareKey maps
-// to one key form one group, and every other point is a group of its
-// own.
+// to one key form one group, run in sim.CompareShared's order, and every
+// other point is a group of its own.
 func shareGroups(cfgs []sim.Config, skip []bool) [][]int {
 	var groups [][]int
 	byKey := make(map[sim.Config]int)
@@ -390,6 +391,9 @@ func shareGroups(cfgs []sim.Config, skip []bool) [][]int {
 			byKey[key] = len(groups)
 		}
 		groups = append(groups, []int{i})
+	}
+	for _, g := range groups {
+		slices.SortStableFunc(g, func(i, j int) int { return sim.CompareShared(cfgs[i], cfgs[j]) })
 	}
 	return groups
 }
