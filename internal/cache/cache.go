@@ -98,6 +98,14 @@ type Cache struct {
 	// increment and stays inside the compiler's inlining budget.
 	hits   uint64
 	misses uint64
+
+	// filled lists the slots that went from empty to filled since the
+	// last Reset, so that Reset clears only those. It holds at most
+	// fillMax slots; once it is full a run lists no more and the next
+	// Reset clears in full. New leaves it empty with fillMax 0, so a
+	// cache that is never reset allocates no list.
+	filled  []int32
+	fillMax int
 }
 
 // New constructs a cache. It panics on an invalid configuration: cache
@@ -105,38 +113,51 @@ type Cache struct {
 // invalid shape reaching this point is a programming error.
 func New(cfg Config) *Cache {
 	c := &Cache{}
-	c.init(cfg)
+	c.Reset(cfg)
 	return c
 }
 
-// Reset re-initializes c for cfg in place: afterwards c behaves exactly
-// as New(cfg) would, but c's arrays are reused whenever they have the
-// room, so one cache serves a run of geometries without allocating. It
-// panics on an invalid configuration, as New does.
-func (c *Cache) Reset(cfg Config) { c.init(cfg) }
+// fillFraction bounds a cache's fill list to 1/fillFraction of its lines.
+// Clearing one listed slot costs a scattered store where a full clear
+// costs a sequential one, so a run that fills more than about this share
+// of the lines is cheaper to clear in full.
+const fillFraction = 8
 
-// init initializes c in place (New for an embedded Cache), reusing c's
-// arrays when they have the room.
-func (c *Cache) init(cfg Config) {
+// Reset re-initializes c for cfg in place: afterwards c behaves exactly
+// as New(cfg) would. It first restores to zero every entry the last run
+// wrote — only the slots it listed as filled, or every entry of the last
+// geometry once that run's list is full — so every
+// entry of c's backing arrays is zero again, and the new geometry reuses
+// them whenever they have the room. A Reset therefore costs time in
+// proportion to what the last run filled, not to the cache size, and
+// allocates only when the arrays (or the fill list, allocated at the
+// first Reset of arrays already in use) lack the room. It panics on an
+// invalid configuration, as New does.
+func (c *Cache) Reset(cfg Config) {
 	if cfg.Assoc == 0 {
 		cfg.Assoc = 1
 	}
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	c.clean()
 	nLines := cfg.SizeBytes / cfg.LineBytes
 	nSets := nLines / cfg.Assoc
 	lineShift, setMask := addr.IndexShiftMask(uint64(cfg.LineBytes), uint64(nSets))
-	age := c.age
+	lines, age, filled := c.lines, c.age, c.filled
 	*c = Cache{
 		cfg:       cfg,
 		lineShift: lineShift,
 		setMask:   setMask,
 		assoc:     cfg.Assoc,
-		lines:     zeroed(c.lines, nLines),
+		lines:     fit(lines, nLines),
+	}
+	if cap(lines) > 0 {
+		c.fillMax = nLines / fillFraction
+		c.filled = fit(filled, c.fillMax)[:0]
 	}
 	if cfg.Assoc > 1 {
-		c.age = zeroed(age, nLines)
+		c.age = fit(age, nLines)
 		c.fast = neverHits
 		c.fastMask = 0
 	} else {
@@ -146,19 +167,51 @@ func (c *Cache) init(cfg Config) {
 	}
 }
 
+// clean zeroes every entry of c's arrays that the run since the last
+// Reset may have written: the listed slots and their LRU ages, or, when
+// the list is full, the whole of the current geometry's arrays.
+// Entries beyond the current geometry are already zero, since every
+// Reset cleans before it re-slices.
+func (c *Cache) clean() {
+	if len(c.filled) < c.fillMax {
+		for _, s := range c.filled {
+			c.lines[s] = 0
+		}
+		if len(c.age) > 0 {
+			for _, s := range c.filled {
+				c.age[s] = 0
+			}
+		}
+		return
+	}
+	clear(c.lines)
+	clear(c.age)
+}
+
+// noteFill lists slot s, about to be filled, for the next Reset to
+// clear if it is empty now; a full list takes nothing more, and that
+// Reset clears in full. The list's room is tested first: a cache
+// without a list (one New built and never reset) or with a full one then
+// pays a compare that always goes one way, not a branch on the slot's
+// contents, which mispredicts.
+func (c *Cache) noteFill(s int) {
+	if len(c.filled) < c.fillMax && c.lines[s] == 0 {
+		c.filled = append(c.filled, int32(s))
+	}
+}
+
 // neverHits is the fast-probe array of every set-associative cache: one
 // permanently invalid slot, only ever read.
 var neverHits = []uint64{0}
 
-// zeroed returns buf cut to n entries and cleared, or a new array when
-// buf has not the room.
-func zeroed(buf []uint64, n int) []uint64 {
+// fit returns buf cut to n entries, or a new (zeroed) array when buf has
+// not the room. The entries of a reused buf are zero: Reset cleans a
+// cache's arrays before it re-slices them.
+func fit[T uint64 | int32](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]uint64, n)
+		return make([]T, n)
 	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
+	return buf[:n]
 }
 
 // Config returns the configuration the cache was built with.
@@ -192,6 +245,7 @@ func (c *Cache) accessSlow(line uint64) bool {
 	key := line + 1
 	set := int(line&c.setMask) * c.assoc
 	if c.assoc == 1 {
+		c.noteFill(set)
 		c.lines[set] = key
 		c.misses++
 		return false
@@ -210,6 +264,7 @@ func (c *Cache) accessSlow(line uint64) bool {
 			victim = w
 		}
 	}
+	c.noteFill(victim)
 	c.lines[victim] = key
 	c.age[victim] = c.tick
 	c.misses++
@@ -248,12 +303,9 @@ func (c *Cache) Invalidate(a uint64) bool {
 
 // Flush invalidates the entire cache. Statistics are preserved.
 func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = 0
-	}
-	for i := range c.age {
-		c.age[i] = 0
-	}
+	clear(c.lines)
+	clear(c.age)
+	c.filled = c.filled[:0]
 }
 
 // Stats returns the accumulated statistics.

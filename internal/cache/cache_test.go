@@ -357,6 +357,157 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 }
 
+// TestSparseResetMatchesNew pins the sparse Reset: runs short enough
+// that Reset clears only the slots they listed, in one cache whose
+// geometry grows, shrinks and changes associativity, with Flush and
+// Invalidate between Resets, and one run that overflows its list. Each
+// run must answer every access exactly as a New cache of its geometry
+// does, and each Reset must leave every entry of the backing arrays
+// zero, beyond the current geometry too.
+func TestSparseResetMatchesNew(t *testing.T) {
+	r := rng.New(11)
+	wide := func(n int) []uint64 { // random lines over 16 MB
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = r.Uint64() & 0xFFFFFF
+		}
+		return out
+	}
+	dm := Config{SizeBytes: 1 << 20, LineBytes: 16}
+	small := Config{SizeBytes: 16 << 10, LineBytes: 16}
+	sa := Config{SizeBytes: 256 << 10, LineBytes: 32, Assoc: 4}
+	// crowded lines fall on 16 of sa's 2,048 sets, eight per set: LRU
+	// evicts all the time while at most 64 slots fill, so the run keeps
+	// its list and every victim choice reads the ages Reset cleared.
+	crowded := make([]uint64, 3_000)
+	for i := range crowded {
+		crowded[i] = uint64(r.Intn(16))*32 + uint64(r.Intn(8))*(2048*32)
+	}
+	short, long := wide(2_000), wide(20_000)
+	flush := func(c *Cache) { c.Flush() }
+	invalidate := func(c *Cache) {
+		for _, a := range crowded[:200] {
+			c.Invalidate(a)
+		}
+	}
+	const (
+		unlisted   = iota // no list: a New cache's first run
+		listed            // the next Reset clears only listed slots
+		overflowed        // the next Reset clears in full
+	)
+	steps := []struct {
+		name    string
+		cfg     Config
+		addrs   []uint64
+		between func(*Cache) // applied to both caches halfway through
+		list    int
+	}{
+		{"new cache", dm, short, nil, unlisted},
+		{"short run in a large cache", dm, short, nil, listed},
+		{"same run after a sparse reset", dm, short, nil, listed},
+		{"set-associative after direct-mapped", sa, crowded, nil, listed},
+		{"set-associative again", sa, crowded, nil, listed},
+		{"direct-mapped after set-associative", small, short[:100], nil, listed},
+		{"set-associative after direct-mapped", sa, crowded, nil, listed},
+		{"overflowing run", dm, long, nil, overflowed},
+		{"shrink after overflow", small, long[:100], nil, listed},
+		{"grow back", dm, long, nil, overflowed},
+		{"flush between", dm, short, flush, listed},
+		{"after a flush", dm, short, nil, listed},
+		{"invalidate between", sa, crowded, invalidate, listed},
+		{"after invalidations", sa, crowded, nil, listed},
+	}
+	reused := New(steps[0].cfg)
+	for k, st := range steps {
+		if k > 0 {
+			reused.Reset(st.cfg)
+		}
+		for i, v := range reused.lines[:cap(reused.lines)] {
+			if v != 0 {
+				t.Fatalf("%s: after Reset, line slot %d holds %#x", st.name, i, v)
+			}
+		}
+		for i, v := range reused.age[:cap(reused.age)] {
+			if v != 0 {
+				t.Fatalf("%s: after Reset, age slot %d holds %d", st.name, i, v)
+			}
+		}
+		fresh := New(st.cfg)
+		for i, a := range st.addrs {
+			if i == len(st.addrs)/2 && st.between != nil {
+				st.between(reused)
+				st.between(fresh)
+			}
+			if got, want := reused.Access(a), fresh.Access(a); got != want {
+				t.Fatalf("%s: %+v access %d (%#x): Reset cache hit=%v, New cache hit=%v", st.name, st.cfg, i, a, got, want)
+			}
+		}
+		if reused.Stats() != fresh.Stats() || reused.Resident() != fresh.Resident() {
+			t.Fatalf("%s: Reset cache %+v (%d resident), New cache %+v (%d resident)",
+				st.name, reused.Stats(), reused.Resident(), fresh.Stats(), fresh.Resident())
+		}
+		list := listed
+		switch {
+		case reused.fillMax == 0:
+			list = unlisted
+		case len(reused.filled) >= reused.fillMax:
+			list = overflowed
+		}
+		if list != st.list {
+			t.Fatalf("%s: fill list state %d (%d of %d slots), want %d", st.name, list, len(reused.filled), reused.fillMax, st.list)
+		}
+	}
+}
+
+// sink keeps the caches the allocation pins build on the heap.
+var sink *Cache
+
+// TestResetAllocationFree pins what building and resetting a cache
+// allocates: New only the Cache and its arrays (lines, and ages when
+// set-associative), no fill list; the first Reset of a used cache only
+// its fill list; and every later Reset into arrays with the room
+// nothing, whether the run before it kept its list or overflowed it.
+func TestResetAllocationFree(t *testing.T) {
+	dm := Config{SizeBytes: 64 << 10, LineBytes: 16}
+	sa := Config{SizeBytes: 64 << 10, LineBytes: 16, Assoc: 4}
+	for _, tc := range []struct {
+		cfg  Config
+		want float64
+	}{{dm, 2}, {sa, 3}} {
+		if n := testing.AllocsPerRun(20, func() { sink = New(tc.cfg) }); n != tc.want {
+			t.Errorf("New(%+v) allocates %.1f objects, want %.0f", tc.cfg, n, tc.want)
+		}
+	}
+	reset := testing.AllocsPerRun(20, func() {
+		c := New(sa)
+		c.Access(0x40)
+		c.Reset(sa)
+		sink = c
+	})
+	if reset != 4 {
+		t.Errorf("New, one access and Reset allocate %.1f objects, want 4 (New's 3 and a fill list)", reset)
+	}
+	c := New(sa)
+	short, long := make([]uint64, 100), make([]uint64, 8_000)
+	for i := range long {
+		long[i] = uint64(i) * 16
+	}
+	copy(short, long)
+	n := testing.AllocsPerRun(20, func() {
+		for _, addrs := range [][]uint64{short, long} {
+			for _, cfg := range []Config{sa, dm} {
+				c.Reset(cfg)
+				for _, a := range addrs {
+					c.Access(a)
+				}
+			}
+		}
+	})
+	if n != 0 {
+		t.Errorf("Resets into arrays with the room allocate %.1f objects, want 0", n)
+	}
+}
+
 func TestNewPanicsOnInvalidConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -45,9 +45,16 @@ type Hierarchy struct {
 // NewHierarchy builds a two-level stack from the two cache configs.
 func NewHierarchy(l1, l2 Config) *Hierarchy {
 	h := &Hierarchy{}
-	h.l1.init(l1)
-	h.l2.init(l2)
+	h.Reset(l1, l2)
 	return h
+}
+
+// Reset re-initializes both levels in place for the two cache configs
+// (Cache.Reset): afterwards h behaves exactly as NewHierarchy(l1, l2)
+// would, reusing h's arrays, and every L1Probe taken before is stale.
+func (h *Hierarchy) Reset(l1, l2 Config) {
+	h.l1.Reset(l1)
+	h.l2.Reset(l2)
 }
 
 // Access performs a reference at address a and returns the level that
@@ -87,8 +94,8 @@ func (h *Hierarchy) Probe(a uint64) Level {
 // whose per-reference loop cannot afford a function call per access. Hit
 // is semantically identical to "Access(a) == L1Hit would have hit L1";
 // on a Hit miss the caller must complete the reference with
-// AccessMissedL1. The probe stays valid for the hierarchy's lifetime —
-// the underlying arrays are never reallocated.
+// AccessMissedL1. The probe stays valid until the hierarchy's next
+// Reset, which may hand the L1 other arrays: take a new one after it.
 type L1Probe struct {
 	lines []uint64
 	shift uint

@@ -27,6 +27,7 @@ package oskernel
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/rng"
@@ -40,7 +41,7 @@ type Page struct {
 	VPN  uint64
 }
 
-// key packs a Page into the map key form used throughout (the same
+// key packs a Page into the key form used throughout (the same
 // asid<<32|vpn packing the tagged TLBs use).
 func (p Page) key() uint64 { return uint64(p.ASID)<<32 | p.VPN }
 
@@ -86,8 +87,8 @@ type Kernel struct {
 	pol    policy
 	frames int // 0 = unbounded
 
-	slot map[uint64]int32 // resident key → slot
-	keys []uint64         // slot → resident key
+	slot index    // resident key → slot
+	keys []uint64 // slot → resident key
 
 	// hand is the next slot round-robin and clock consider; ref is the
 	// per-slot reference bit, which only clock sets, so round-robin is
@@ -123,7 +124,7 @@ func New(name string, frames int, seed uint64) (*Kernel, error) {
 	if i < 0 {
 		return nil, fmt.Errorf("oskernel: unknown policy %q (have %v)", name, Policies())
 	}
-	k := &Kernel{pol: policy(i), frames: frames, slot: make(map[uint64]int32)}
+	k := &Kernel{pol: policy(i), frames: frames}
 	switch k.pol {
 	case random:
 		k.rnd.Seed(seed ^ KernelSeedSalt)
@@ -151,8 +152,9 @@ func (k *Kernel) Evictions() uint64 { return k.evicts }
 // an error wrapping simerr.ErrMemExhausted.
 func (k *Kernel) Touch(asid uint8, vpn uint64) (evicted Page, haveEvict, fault bool, err error) {
 	key := Page{ASID: asid, VPN: vpn}.key()
-	if s, ok := k.slot[key]; ok {
-		k.touched(s)
+	at, ok := k.slot.find(key)
+	if ok {
+		k.touched(k.slot.tab[at].slot)
 		return Page{}, false, false, nil
 	}
 	fault = k.pol != firstTouch
@@ -168,14 +170,15 @@ func (k *Kernel) Touch(asid uint8, vpn uint64) (evicted Page, haveEvict, fault b
 		}
 		s = k.victim()
 		vk := k.keys[s]
-		delete(k.slot, vk)
+		k.slot.remove(vk)
+		at = -1 // the removal may have moved key's place
 		k.keys[s] = key
 		k.evicts++
 		evicted, haveEvict = pageOf(vk), true
 	} else {
 		k.keys = append(k.keys, key)
 	}
-	k.slot[key] = s
+	k.slot.put(key, s, at)
 	k.admit(s, key)
 	return evicted, haveEvict, fault, nil
 }
@@ -236,7 +239,8 @@ func (k *Kernel) victim() int32 {
 		i := k.rnd.Intn(n)
 		v := k.sorted[i]
 		k.sorted = slices.Delete(k.sorted, i, i+1)
-		return k.slot[v]
+		at, _ := k.slot.find(v)
+		return k.slot.tab[at].slot
 	default: // roundRobin, clock
 		for k.ref[k.hand] {
 			k.ref[k.hand] = false
@@ -259,4 +263,95 @@ func (k *Kernel) pushMRU(n int32) {
 	p := k.prev[0]
 	k.prev[n], k.next[n] = p, 0
 	k.next[p], k.prev[0] = n, n
+}
+
+// index maps resident keys to their slots. It is open-addressed with
+// linear probing and deletes by shifting the entries after a hole back
+// into it, so it holds no tombstones and its layout depends only on the
+// keys it holds. Its capacity is a power of two of at least twice the
+// number of keys, and it grows only when a key is added beyond that: an
+// eviction removes one key before the admitted page adds one, so a full
+// kernel's index never grows, and nothing sizes it from the frame
+// budget.
+type index struct {
+	// tab holds key+1 (0 marks an empty entry) and its slot; shift
+	// takes a key's hash down to a home entry.
+	tab   []indexEntry
+	shift uint
+	n     int
+}
+
+type indexEntry struct {
+	tag  uint64
+	slot int32
+}
+
+// home returns key's first probe position: Fibonacci hashing, the top
+// bits of key times 2^64/φ.
+func (x *index) home(key uint64) int {
+	return int((key * 0x9E3779B97F4A7C15) >> x.shift)
+}
+
+// find returns the position of key's entry and true, or, when key is
+// absent, the empty position that ends its probe run (-1 in an empty
+// index) and false.
+func (x *index) find(key uint64) (int, bool) {
+	if len(x.tab) == 0 {
+		return -1, false
+	}
+	mask := len(x.tab) - 1
+	for i := x.home(key); ; i = (i + 1) & mask {
+		switch x.tab[i].tag {
+		case key + 1:
+			return i, true
+		case 0:
+			return i, false
+		}
+	}
+}
+
+// put adds key, which is absent, at slot s. at is the position find
+// returned for key, or -1 when the index has changed since.
+func (x *index) put(key uint64, s int32, at int) {
+	if 2*(x.n+1) > len(x.tab) {
+		x.grow()
+		at = -1
+	}
+	if at < 0 {
+		at, _ = x.find(key)
+	}
+	x.tab[at] = indexEntry{tag: key + 1, slot: s}
+	x.n++
+}
+
+// remove deletes key, which is present, then moves back each entry of
+// the probe run after the hole that may fill it — one whose home does
+// not lie cyclically between the hole and the entry — so every entry
+// stays reachable from its home without a gap.
+func (x *index) remove(key uint64) {
+	mask := len(x.tab) - 1
+	i, _ := x.find(key)
+	for j := (i + 1) & mask; x.tab[j].tag != 0; j = (j + 1) & mask {
+		if h := x.home(x.tab[j].tag - 1); (j-h)&mask >= (j-i)&mask {
+			x.tab[i] = x.tab[j]
+			i = j
+		}
+	}
+	x.tab[i] = indexEntry{}
+	x.n--
+}
+
+// grow doubles the table (to 16 entries at first) and re-adds every
+// entry.
+func (x *index) grow() {
+	old := x.tab
+	size := max(16, 2*len(old))
+	x.tab = make([]indexEntry, size)
+	x.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, e := range old {
+		if e.tag != 0 {
+			at, _ := x.find(e.tag - 1)
+			x.tab[at] = e
+		}
+	}
 }

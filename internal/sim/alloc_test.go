@@ -168,7 +168,7 @@ func TestL2ReplayAllocationFree(t *testing.T) {
 			}
 			budget := 1 + sides*testing.AllocsPerRun(runs, func() { cache.New(l2) })
 			cold := testing.AllocsPerRun(runs, func() {
-				log.l2 = [2]cache.Cache{}
+				log.cs = caches{}
 				if _, err := ReplayL2(ctx, follower, &log); err != nil {
 					t.Fatal(err)
 				}

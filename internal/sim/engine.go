@@ -129,7 +129,10 @@ func (e *Engine) switchTo(asid uint8) {
 var _ mmu.Machine = (*Engine)(nil)
 
 // NewEngine builds an engine for cfg.
-func NewEngine(cfg Config) (*Engine, error) {
+func NewEngine(cfg Config) (*Engine, error) { return newEngine(cfg, new(caches)) }
+
+// newEngine is NewEngine building its caches in cs.
+func newEngine(cfg Config, cs *caches) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -138,7 +141,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := assemble(cfg, phys, refill)
+	e := assemble(cfg, phys, refill, cs)
 	if err := e.attachKernel(cfg); err != nil {
 		return nil, err
 	}
@@ -172,30 +175,41 @@ func NewEngineWithRefill(cfg Config, refill mmu.Refill) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := assemble(cfg, mem.New(cfg.PhysMemBytes), refill)
+	e := assemble(cfg, mem.New(cfg.PhysMemBytes), refill, new(caches))
 	if err := e.attachKernel(cfg); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// assemble wires caches, TLBs, and the walker into an Engine.
-func assemble(cfg Config, phys *mem.Phys, refill mmu.Refill) *Engine {
+// caches is one engine's worth of cache arrays: the instruction-side
+// and data-side hierarchies (only the first under UnifiedCaches). A
+// fresh engine builds in a new one; a sweep worker's engines and replays
+// all build in the one its L2Log holds, each resetting it for its own
+// geometry (cache.Cache.Reset).
+type caches [2]cache.Hierarchy
+
+// assemble wires caches, TLBs, and the walker into an Engine, resetting
+// cs for cfg's cache geometry and building the hierarchies in it.
+func assemble(cfg Config, phys *mem.Phys, refill mmu.Refill, cs *caches) *Engine {
 	l1cfg := cache.Config{SizeBytes: cfg.L1SizeBytes, LineBytes: cfg.L1LineBytes, Assoc: cfg.L1Assoc}
 	l2cfg := cache.Config{SizeBytes: cfg.L2SizeBytes, LineBytes: cfg.L2LineBytes, Assoc: cfg.L2Assoc}
 	e := &Engine{
 		cfg:    cfg,
 		phys:   phys,
 		refill: refill,
-		icache: cache.NewHierarchy(l1cfg, l2cfg),
+		icache: &cs[0],
+		dcache: &cs[1],
 	}
 	e.driver = newDriver(e, cfg)
 	if cfg.UnifiedCaches {
 		// One shared hierarchy: instruction fetches and data references
 		// contend for the same lines.
 		e.dcache = e.icache
-	} else {
-		e.dcache = cache.NewHierarchy(l1cfg, l2cfg)
+	}
+	e.icache.Reset(l1cfg, l2cfg)
+	if e.dcache != e.icache {
+		e.dcache.Reset(l1cfg, l2cfg)
 	}
 	e.iprobe = e.icache.L1Probe()
 	e.dprobe = e.dcache.L1Probe()

@@ -63,7 +63,7 @@ func NewMulticore(cfg Config) (*Multicore, error) {
 		coreCfg.Seed = CoreSeed(cfg.Seed, c)
 		// The cluster's driver steps the cores; their own drivers stay
 		// idle.
-		e := assemble(coreCfg, phys, refill)
+		e := assemble(coreCfg, phys, refill, new(caches))
 		e.coreID = c
 		m.cores[c] = e
 	}

@@ -144,11 +144,14 @@ func (s *stream) pass(ctx context.Context, il, dl *cache.Cache, lvl int, out *st
 	return misses, nil
 }
 
-// L2Log is the L1-miss stream of one recorded run together with the rest
-// of its Result, which configurations sharing its key have in common. The
-// zero value is an empty log; SimulateRecord refills it, reusing its
-// buffers and its replay caches, so one log per sweep worker serves every
-// group.
+// L2Log is a sweep worker's simulation state: one engine's worth of
+// cache arrays, and the L1-miss stream of one recorded run together with
+// the rest of its Result, which configurations sharing its key have in
+// common. The zero value is an empty log with no arrays. SimulateRecord
+// refills it, SimulateIn runs a full engine in its arrays and ReplayL2
+// replays from it, each resetting the arrays for its own geometry and
+// reusing the log's buffers, so one log per sweep worker serves every
+// single-core point of the sweep.
 type L2Log struct {
 	key Config
 	ok  bool
@@ -165,17 +168,17 @@ type L2Log struct {
 	workload string
 
 	// l1s is the L1-miss stream at L1 size l1At (0: none yet), derived
-	// from rec in the caches l1 (instruction side, data side). l2s is
-	// the L2-miss stream of the direct-mapped L2 l2At names (zero: none),
-	// behind the L1 of that size; followers' L2s replay in the caches
-	// l2. Replays reset the caches, reusing their arrays, so a warm log's
-	// followers allocate no cache memory; the zero log holds none.
+	// from rec through the L1s of cs. l2s is the L2-miss stream of the
+	// direct-mapped L2 l2At names (zero: none), behind the L1 of that
+	// size; followers' L2s replay in the L2s of cs.
 	l1s  stream
 	l1At int
-	l1   [2]cache.Cache
 	l2s  stream
 	l2At l2Tag
-	l2   [2]cache.Cache
+	// cs holds the cache arrays every engine and replay on this log
+	// builds in. A Reset clears only the lines the previous user filled,
+	// so a warm log's points allocate no cache memory and clear little.
+	cs caches
 }
 
 // l2Tag names a direct-mapped L2 behind an L1: the L1 size, the L2 line
@@ -211,10 +214,11 @@ func (l *L2Log) add(a uint64, l1c, l2c stats.Component, dside bool, lvl cache.Le
 func SimulateRecord(ctx context.Context, cfg Config, tr *trace.Trace, log *L2Log) (*Result, error) {
 	*log = L2Log{
 		rec: stream{acc: log.rec.acc[:0]},
-		l1s: stream{acc: log.l1s.acc[:0]}, l1: log.l1,
-		l2s: stream{acc: log.l2s.acc[:0]}, l2: log.l2,
+		l1s: stream{acc: log.l1s.acc[:0]},
+		l2s: stream{acc: log.l2s.acc[:0]},
+		cs:  log.cs,
 	}
-	e, err := NewEngine(cfg)
+	e, err := newEngine(cfg, &log.cs)
 	if err != nil {
 		return nil, err
 	}
@@ -235,6 +239,23 @@ func SimulateRecord(ctx context.Context, cfg Config, tr *trace.Trace, log *L2Log
 	}
 	log.chain, log.workload = res.AvgChainLength, res.Workload
 	return res, nil
+}
+
+// SimulateIn is SimulateContext for a configuration run in log's cache
+// arrays: a single-core engine resets them for its geometry instead of
+// allocating its own, so that once they have the room a sweep worker's
+// full-engine points allocate no cache memory. A multicore cluster
+// builds fresh caches per core, as SimulateContext does. Calls on one
+// log must not overlap.
+func SimulateIn(ctx context.Context, cfg Config, tr *trace.Trace, log *L2Log) (*Result, error) {
+	if cfg.Cores > 1 {
+		return SimulateContext(ctx, cfg, tr)
+	}
+	e, err := newEngine(cfg, &log.cs)
+	if err != nil {
+		return nil, err
+	}
+	return e.RunContext(ctx, tr)
 }
 
 // ReplayL2 returns cfg's Result from a log recorded under cfg's share
@@ -274,13 +295,17 @@ func ReplayL2(ctx context.Context, cfg Config, log *L2Log) (*Result, error) {
 	return &Result{Config: cfg, Workload: log.workload, Counters: c, AvgChainLength: log.chain}, nil
 }
 
-// resetSides resets the cache pair for geom, one cache when unified, and
-// returns the instruction and data sides.
-func resetSides(pair *[2]cache.Cache, geom cache.Config, unified bool) (il, dl *cache.Cache) {
-	il, dl = &pair[0], &pair[0]
+// sides resets the level-lvl caches of the log's hierarchies for geom,
+// one cache when unified, and returns the instruction and data sides.
+func (l *L2Log) sides(lvl int, geom cache.Config, unified bool) (il, dl *cache.Cache) {
+	level := (*cache.Hierarchy).L1
+	if lvl == atL2 {
+		level = (*cache.Hierarchy).L2
+	}
+	il, dl = level(&l.cs[0]), level(&l.cs[0])
 	il.Reset(geom)
 	if !unified {
-		dl = &pair[1]
+		dl = level(&l.cs[1])
 		dl.Reset(geom)
 	}
 	return il, dl
@@ -296,7 +321,7 @@ func (l *L2Log) l1Stream(ctx context.Context, cfg Config) (*stream, error) {
 	if l.l1At != cfg.L1SizeBytes {
 		l.l1At = 0
 		geom := cache.Config{SizeBytes: cfg.L1SizeBytes, LineBytes: cfg.L1LineBytes, Assoc: cfg.L1Assoc}
-		il, dl := resetSides(&l.l1, geom, cfg.UnifiedCaches)
+		il, dl := l.sides(atL1, geom, cfg.UnifiedCaches)
 		if _, err := l.rec.pass(ctx, il, dl, atL1, &l.l1s); err != nil {
 			return nil, err
 		}
@@ -312,7 +337,7 @@ func (l *L2Log) l1Stream(ctx context.Context, cfg Config) (*stream, error) {
 // own misses for the larger ones after it.
 func (l *L2Log) l2Misses(ctx context.Context, cfg Config, l1 *stream) ([stats.NumComponents]uint64, error) {
 	geom := cache.Config{SizeBytes: cfg.L2SizeBytes, LineBytes: cfg.L2LineBytes, Assoc: cfg.L2Assoc}
-	il, dl := resetSides(&l.l2, geom, cfg.UnifiedCaches)
+	il, dl := l.sides(atL2, geom, cfg.UnifiedCaches)
 	if cfg.L2Assoc > 1 {
 		return l1.pass(ctx, il, dl, atL2, nil)
 	}

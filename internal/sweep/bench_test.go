@@ -1,10 +1,12 @@
 package sweep
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -50,13 +52,11 @@ func BenchmarkConfigsExpansion(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepSharedL2 sweeps the figure 6–7 space (3 L2 sizes × 10
-// line-size pairs × 8 L1 sizes) for ultrix, whose points share L1
-// stages, and notlb, whose points may not, at 20k references.
-func BenchmarkSweepSharedL2(b *testing.B) {
-	tr := faultTrace(b, 20_000)
+// fig67Configs is the figure 6–7 cache space (3 L2 sizes × 10 line-size
+// pairs × 8 L1 sizes) for each of vms.
+func fig67Configs(vms ...string) []sim.Config {
 	var cfgs []sim.Config
-	for _, vm := range []string{sim.VMUltrix, sim.VMNoTLB} {
+	for _, vm := range vms {
 		for _, l2 := range PaperL2Sizes() {
 			for _, l1Line := range PaperLineSizes() {
 				for _, l2Line := range PaperLineSizes() {
@@ -70,7 +70,15 @@ func BenchmarkSweepSharedL2(b *testing.B) {
 			}
 		}
 	}
+	return cfgs
+}
+
+// benchSweep runs cfgs over tr once per op on GOMAXPROCS workers, reporting
+// points/s and garbage collections per op beside the allocations.
+func benchSweep(b *testing.B, tr *trace.Trace, cfgs []sim.Config) {
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
@@ -81,4 +89,25 @@ func BenchmarkSweepSharedL2(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N*len(cfgs))/time.Since(start).Seconds(), "points/s")
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gcs/op")
+}
+
+// BenchmarkSweepSharedL2 sweeps the figure 6–7 space for ultrix, whose
+// points share L1 stages, and notlb, whose points may not, at 20k
+// references.
+func BenchmarkSweepSharedL2(b *testing.B) {
+	benchSweep(b, faultTrace(b, 20_000), fig67Configs(sim.VMUltrix, sim.VMNoTLB))
+}
+
+// BenchmarkSweepFig67 sweeps the whole figure 6–7 space — the paper's
+// five organizations with a VMCPI, notlb's 240 full-engine points among
+// them — over a 20k-instruction gcc trace: every kind of point a sweep
+// worker runs (full, recording, replayed) in one worker's arrays.
+func BenchmarkSweepFig67(b *testing.B) {
+	p, err := workload.ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSweep(b, workload.Generate(p, 42, 20_000), fig67Configs(sim.PaperVMs()[:5]...))
 }

@@ -310,6 +310,86 @@ func TestShareInvalidFollowerL2(t *testing.T) {
 	}
 }
 
+// TestWorkerCarriesNoState runs, on one worker and so in one set of
+// cache arrays, points that leave those arrays in every state a point
+// can: a notlb run at a 4 MB/16-B L2, a TLB-refilled share group, a group
+// whose leader fails before it runs, a point that fails mid-run after
+// filling lines (first-touch exhausting a frame budget), a quarantined
+// panic, then full and replayed points at smaller and larger geometries,
+// set-associative and unified ones among them. Every point that succeeds
+// must equal a fresh Simulate.
+func TestWorkerCarriesNoState(t *testing.T) {
+	tr := faultTrace(t, 8_000)
+	at := func(vm string, l1, l1Line, l2, l2Line int, mutate ...func(*sim.Config)) sim.Config {
+		c := sim.Default(vm)
+		c.WarmupInstrs = 1_000
+		c.L1SizeBytes, c.L1LineBytes, c.L2SizeBytes, c.L2LineBytes = l1, l1Line, l2, l2Line
+		for _, m := range mutate {
+			m(&c)
+		}
+		return c
+	}
+	group := func(vm string, l1s []int, l1Line int, l2s []int, l2Line int, mutate ...func(*sim.Config)) []sim.Config {
+		var out []sim.Config
+		for _, l1 := range l1s {
+			for _, l2 := range l2s {
+				out = append(out, at(vm, l1, l1Line, l2, l2Line, mutate...))
+			}
+		}
+		return out
+	}
+	budget := func(c *sim.Config) { c.MemFrames = 24 }
+	unified := func(c *sim.Config) { c.UnifiedCaches = true }
+	fourWay := func(c *sim.Config) { c.L2Assoc = 4 }
+	var cfgs []sim.Config
+	add := func(cs ...sim.Config) (first int) {
+		first = len(cfgs)
+		cfgs = append(cfgs, cs...)
+		return first
+	}
+	add(at(sim.VMNoTLB, 32<<10, 16, 4<<20, 16))
+	add(group(sim.VMUltrix, []int{8 << 10, 1 << 10}, 16, []int{4 << 20, 1 << 20}, 16)...)
+	failed := add(group(sim.VMIntel, []int{2 << 10}, 32, []int{1 << 20, 2 << 20}, 64)...)
+	exhausted := add(at(sim.VMUltrix, 64<<10, 16, 4<<20, 16, budget))
+	panicked := add(at(sim.VMNoTLB, 16<<10, 32, 2<<20, 32))
+	add(at(sim.VMNoTLB, 1<<10, 64, 256<<10, 128))
+	add(group(sim.VMMach, []int{128 << 10, 4 << 10}, 16, []int{8 << 20, 512 << 10}, 16)...)
+	add(at(sim.VMPARISC, 32<<10, 32, 8<<20, 32, fourWay))
+	add(group(sim.VMPARISC, []int{64 << 10, 1 << 10}, 32, []int{256 << 10, 4 << 20}, 64, fourWay)...)
+	add(group(sim.VMUltrix, []int{2 << 10, 16 << 10}, 16, []int{1 << 20, 4 << 20}, 16, unified)...)
+	add(at(sim.VMNoTLB, 2<<10, 16, 512<<10, 16, unified))
+	add(at(sim.VMBase, 64<<10, 64, 4<<20, 64))
+
+	pts, err := RunWithOptions(context.Background(), tr, cfgs, Options{
+		Workers:   1,
+		PointHook: chain(faults.FailFirst(failed, 99, nil), faults.PanicOn(panicked)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(pts[failed].Err, faults.ErrInjected) {
+		t.Fatalf("failed leader: err %v, want ErrInjected", pts[failed].Err)
+	}
+	if err := pts[exhausted].Err; simerr.Category(err) != "mem" {
+		t.Fatalf("first-touch under %d frames: err %v, want category mem", cfgs[exhausted].MemFrames, err)
+	}
+	if !errors.Is(pts[panicked].Err, simerr.ErrInternalPanic) {
+		t.Fatalf("panicking point: err %v, want ErrInternalPanic", pts[panicked].Err)
+	}
+	for i, cfg := range cfgs {
+		if i == failed || i == exhausted || i == panicked {
+			continue
+		}
+		want, err := sim.Simulate(cfg, tr)
+		if err != nil {
+			t.Fatalf("Simulate(%s): %v", cfg.Label(), err)
+		}
+		if pts[i].Err != nil || !reflect.DeepEqual(pts[i].Result, want) {
+			t.Errorf("point %d (%s) differs from a fresh Simulate (err %v)", i, cfg.Label(), pts[i].Err)
+		}
+	}
+}
+
 // TestPointKeyHashesMachineSpecContent: an explicit machine spec enters
 // the key by content, not by address, and a configuration without one
 // keeps the key earlier journals were written under.

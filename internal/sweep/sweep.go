@@ -96,11 +96,13 @@ type Options struct {
 // with cfgs. The trace is shared read-only across workers.
 //
 // Memory: a sweep holds one copy of the trace (shared by every worker)
-// plus, per worker, one live engine — cache and TLB arrays, typically a
-// few hundred KB per point — or the caches of a replay, and one reused
-// L2 log (at most three streams of 16 bytes per access that leaves an
-// L1; DESIGN.md §8), so peak memory is O(trace + workers), not
-// O(configurations). Results are two small structs per point.
+// plus, per worker, one L2 log that lives for the whole call: one set of
+// cache arrays, sized by the largest geometry the worker has run (a
+// 4 MB L2 of 16-byte lines is 2 MB per side), in which every single-core
+// engine and replay of the worker builds its caches; the live engine's
+// TLBs and page tables; and at most three streams of 16 bytes per access
+// that leaves an L1 (DESIGN.md §8). Peak memory is O(trace + workers),
+// not O(configurations). Results are two small structs per point.
 func Run(tr *trace.Trace, cfgs []sim.Config, workers int) []Point {
 	return RunContext(context.Background(), tr, cfgs, workers)
 }
@@ -284,17 +286,15 @@ func RunWithOptions(ctx context.Context, tr *trace.Trace, cfgs []sim.Config, opt
 		return Point{Config: cfgs[i], Err: fmt.Errorf(
 			"sweep: point not dispatched: %w: %w", simerr.ErrCancelled, context.Cause(ctx))}
 	}
-	full := func(pctx context.Context, cfg sim.Config) (*sim.Result, error) {
-		return sim.SimulateContext(pctx, cfg, tr)
-	}
 
 	// Each worker takes one group at a time. A group of two or more
 	// points shares its L1 stage: the first point, the smallest L1,
 	// records the accesses its run sends past its L1s into the worker's
 	// log, and every later point replays that log through its own cache
-	// geometry, in caches the log keeps — or, when the leader failed,
-	// runs the full engine. Each point keeps its own attempt loop,
-	// Duration, journal record and PointDone call.
+	// geometry — or, when the leader failed, runs the full engine. Every
+	// single-core point a worker runs, full, recording or replayed,
+	// builds its caches in the arrays its log holds. Each point keeps
+	// its own attempt loop, Duration, journal record and PointDone call.
 	var wg sync.WaitGroup
 	next := make(chan []int)
 	for w := 0; w < workers; w++ {
@@ -302,6 +302,9 @@ func RunWithOptions(ctx context.Context, tr *trace.Trace, cfgs []sim.Config, opt
 		go func() {
 			defer wg.Done()
 			var log sim.L2Log
+			full := func(pctx context.Context, cfg sim.Config) (*sim.Result, error) {
+				return sim.SimulateIn(pctx, cfg, tr, &log)
+			}
 			lead := func(pctx context.Context, cfg sim.Config) (*sim.Result, error) {
 				return sim.SimulateRecord(pctx, cfg, tr, &log)
 			}
@@ -312,11 +315,6 @@ func RunWithOptions(ctx context.Context, tr *trace.Trace, cfgs []sim.Config, opt
 				run := full
 				if len(g) > 1 {
 					run = lead
-				} else {
-					// The full engine builds caches of its own: let the
-					// log's replay caches go, so that the worker never
-					// holds both.
-					log = sim.L2Log{}
 				}
 				for k, i := range g {
 					if k > 0 && ctx.Err() != nil {
