@@ -45,15 +45,18 @@ func withUncached(tr *trace.Trace) *trace.Trace {
 }
 
 // TestL2ShareMatchesSimulate pins the L1-stage sharing of sweeps: for
-// every registered machine that may share, under each cache/TLB variant
-// and on a uniprogram and a multiprogrammed trace, each L1 size in turn
-// records (under a different L2 geometry each time) and every
-// configuration of its key at that L1 size or larger replays the log, in
+// every registered machine, under each cache/TLB variant and on a
+// uniprogram and a multiprogrammed trace, each L1 size in turn records
+// (under a different L2 geometry each time) and every configuration of
+// its key at that L1 size or larger replays the log, in
 // sim.CompareShared's order and in reverse. Each Result — leader's and
 // followers' — must be reflect.DeepEqual to sim.Simulate's. A walker that
 // started branching on a cache outcome would make a follower's replayed
 // walk differ from its own and fail here. Machines whose refill runs on
-// user L2 misses must be refused.
+// user L2 misses (notlb, spur) share only with a direct-mapped L1, so
+// they skip the 2-way L1 variant, and their followers may instead be
+// refused as diverged; each of them must both replay and diverge at least
+// once across the pin.
 func TestL2ShareMatchesSimulate(t *testing.T) {
 	const n = 24_000
 	uni := genTrace(t, "gcc", n)
@@ -80,41 +83,53 @@ func TestL2ShareMatchesSimulate(t *testing.T) {
 		{"uncached", func(*sim.Config) {}, withUncached(uni)},
 	}
 	ctx := context.Background()
-	shared := 0
+	verifiedVMs := 0
 	for _, vm := range sim.AllVMs() {
 		spec, err := machine.Lookup(vm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ok := sim.ShareKey(sim.Default(vm))
-		if want := spec.Refill.Trigger != machine.TriggerCacheMiss; ok != want {
-			t.Fatalf("%s (trigger %q): ShareKey ok = %v, want %v", vm, spec.Refill.Trigger, ok, want)
+		if _, ok := sim.ShareKey(sim.Default(vm)); !ok {
+			t.Fatalf("%s: ShareKey refuses a direct-mapped L1", vm)
 		}
-		if !ok {
-			continue
+		verified := spec.Refill.Trigger == machine.TriggerCacheMiss
+		if verified {
+			verifiedVMs++
 		}
-		shared++
 		t.Run(vm, func(t *testing.T) {
 			t.Parallel()
 			var log sim.L2Log
+			var n shareCounts
 			for _, v := range variants {
+				if verified && v.name == "l1-2way" {
+					continue // may not share (TestL2ShareRefused)
+				}
 				trs := traces
 				if v.trace != nil {
 					trs = []*trace.Trace{v.trace}
 				}
 				for _, tr := range trs {
-					shareLockstep(t, ctx, &log, vm, v.name, v.mutate, tr)
+					shareLockstep(t, ctx, &log, vm, v.name, v.mutate, tr, verified, &n)
 				}
+			}
+			t.Logf("%d followers replayed, %d diverged", n.replayed, n.diverged)
+			if verified && (n.replayed == 0 || n.diverged == 0) {
+				t.Errorf("%d followers replayed and %d diverged; the pin must see both", n.replayed, n.diverged)
 			}
 		})
 	}
-	if shared == 0 {
-		t.Fatal("no registered machine may share; the pin covers nothing")
+	if verifiedVMs == 0 {
+		t.Fatal("no registered machine walks on cache misses; the pin covers no verified replay")
 	}
 }
 
+// shareCounts tallies a sharing pin's followers by outcome.
+type shareCounts struct{ replayed, diverged int }
+
 // shareLockstep is one variant and trace of TestL2ShareMatchesSimulate.
-func shareLockstep(t *testing.T, ctx context.Context, log *sim.L2Log, vm, variant string, mutate func(*sim.Config), tr *trace.Trace) {
+// A follower of a verified log (verified: the machine walks on user L2
+// misses) may be refused as diverged instead of matching.
+func shareLockstep(t *testing.T, ctx context.Context, log *sim.L2Log, vm, variant string, mutate func(*sim.Config), tr *trace.Trace, verified bool, n *shareCounts) {
 	t.Helper()
 	g := len(shareGeometries)
 	cfgs := make([]sim.Config, 0, len(shareL1Sizes)*g)
@@ -153,9 +168,15 @@ func shareLockstep(t *testing.T, ctx context.Context, log *sim.L2Log, vm, varian
 		for range 2 {
 			for _, f := range followers {
 				got, err := sim.ReplayL2(ctx, cfgs[f], log)
-				if err != nil || !reflect.DeepEqual(got, want[f]) {
+				var div *sim.DivergedError
+				switch {
+				case verified && errors.As(err, &div):
+					n.diverged++
+				case err != nil || !reflect.DeepEqual(got, want[f]):
 					t.Fatalf("%s/%s: follower %s of leader %s differs from Simulate (err %v):\n got %+v\nwant %+v",
 						variant, tr.Name, cfgs[f].Label(), cfgs[lead].Label(), err, got, want[f])
+				default:
+					n.replayed++
 				}
 			}
 			slices.Reverse(followers)
@@ -163,12 +184,13 @@ func shareLockstep(t *testing.T, ctx context.Context, log *sim.L2Log, vm, varian
 	}
 }
 
-// TestL2ShareRefused pins who may not share: organizations that walk on
-// user L2 misses, an attached OS kernel, a cluster, timeline sampling and
-// invariant checking get no share key, cannot record, and cannot replay
-// another configuration's log. A log recorded at a larger L1, under
-// another key (a set-associative L1 of another size) or by a failed run
-// is refused too.
+// TestL2ShareRefused pins who may not share: a set-associative L1 on an
+// organization that walks on user L2 misses, an attached OS kernel, a
+// cluster, timeline sampling and invariant checking get no share key,
+// cannot record, and cannot replay another configuration's log. A log
+// recorded at a larger L1, under another key (a set-associative L1 of
+// another size, a notlb log under another L2 geometry or offered to
+// ultrix) or by a failed run is refused too.
 func TestL2ShareRefused(t *testing.T) {
 	tr := genTrace(t, "gcc", 8_000)
 	ctx := context.Background()
@@ -181,9 +203,14 @@ func TestL2ShareRefused(t *testing.T) {
 		mutate(&c)
 		return c
 	}
+	twoWayL1 := func(vm string) sim.Config {
+		c := sim.Default(vm)
+		c.L1Assoc = 2
+		return c
+	}
 	for name, cfg := range map[string]sim.Config{
-		"notlb":            sim.Default(sim.VMNoTLB),
-		"spur":             sim.Default(sim.VMSPUR),
+		"notlb-l1-2way":    twoWayL1(sim.VMNoTLB),
+		"spur-l1-2way":     twoWayL1(sim.VMSPUR),
 		"bounded-os":       ultrix(func(c *sim.Config) { c.OSPolicy = "lru"; c.MemFrames = 64 }),
 		"cores-2":          ultrix(func(c *sim.Config) { c.Cores = 2 }),
 		"sampled":          ultrix(func(c *sim.Config) { c.SampleEvery = 1_000 }),
@@ -213,6 +240,24 @@ func TestL2ShareRefused(t *testing.T) {
 	if _, err := sim.ReplayL2(ctx, larger, &twoWay); !errors.Is(err, sim.ErrL2LogRefused) {
 		t.Errorf("a 2-way L1 at another size: ReplayL2 = %v, want ErrL2LogRefused", err)
 	}
+
+	notlb := sim.Default(sim.VMNoTLB)
+	var notlbLog sim.L2Log
+	if _, err := sim.SimulateRecord(ctx, notlb, tr, &notlbLog); err != nil {
+		t.Fatal(err)
+	}
+	otherL2 := notlb
+	otherL2.L2SizeBytes *= 2
+	for name, cfg := range map[string]sim.Config{
+		"notlb under another L2 geometry": otherL2,
+		"ultrix":                          sim.Default(sim.VMUltrix),
+	} {
+		var div *sim.DivergedError
+		if _, err := sim.ReplayL2(ctx, cfg, &notlbLog); !errors.Is(err, sim.ErrL2LogRefused) || errors.As(err, &div) {
+			t.Errorf("%s: ReplayL2 of a notlb log = %v, want ErrL2LogRefused and no divergence", name, err)
+		}
+	}
+
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	if _, err := sim.SimulateRecord(cancelled, sim.Default(sim.VMUltrix), tr, &log); err == nil {
@@ -221,5 +266,63 @@ func TestL2ShareRefused(t *testing.T) {
 	sibling := ultrix(func(c *sim.Config) { c.L2SizeBytes = 1 << 20 })
 	if _, err := sim.ReplayL2(ctx, sibling, &log); !errors.Is(err, sim.ErrL2LogRefused) {
 		t.Errorf("log of a failed recording: ReplayL2 = %v, want ErrL2LogRefused", err)
+	}
+}
+
+// TestL2ShareVerifiesL2Outcomes pins the verified replay's L2 step on a
+// hand-built notlb trace whose follower's L1 step agrees with the
+// recording but whose L2 does not. Recorder 1 KB and follower 2 KB L1s
+// (16-byte lines) sit in front of one 64 KB L2 of 64-byte lines. The
+// user's line x shares its L2 set with the first line of the notlb user
+// handler, but no L1 set with any handler line. x is filled into the L2
+// (its own walk's handler fetches hit the L1s), and another user line
+// evicts it from both L1s. Then a user line in the handler's 1 KB L1 set,
+// but not its 2 KB one, evicts the handler line from the recorder's L1
+// only, and the walk it starts fetches the handler line: the recorder's
+// L2 loses x, the follower's keeps it. When x is fetched again it misses
+// both L1s; the recorder misses its L2 and walks, the follower hits and
+// does not. Only the L2-step check sees this, and without it the
+// follower would replay the recorder's walk.
+func TestL2ShareVerifiesL2Outcomes(t *testing.T) {
+	// The page 0x401000 puts x's L2 set (address bits 6–15) on that of
+	// the user handler's code at addr.HandlerPC(6), page 0xff0b1000.
+	const (
+		page = 0x401000
+		x    = page + 0x030 // L1 set 3 in both; L2 set of the user handler
+		v    = x ^ 0x800    // L1 set 3 in both; another L2 set
+		w    = page + 0x400 // L1 set 0 at 1 KB (the handler's), 64 at 2 KB
+		p0   = page + 0x200 // a first walk, which also runs the root handler
+		q    = page + 0x240 // a walk that reloads the user handler's L1 lines
+	)
+	var refs []trace.Ref
+	for _, pc := range []uint64{p0, q, x, v, w, x} {
+		refs = append(refs, trace.Ref{PC: pc})
+	}
+	tr := &trace.Trace{Name: "l2-step", Refs: refs}
+	cfg := sim.Default(sim.VMNoTLB)
+	cfg.WarmupInstrs = 0
+	cfg.L1SizeBytes, cfg.L1LineBytes = 1<<10, 16
+	cfg.L2SizeBytes, cfg.L2LineBytes = 64<<10, 64
+	follower := cfg
+	follower.L1SizeBytes = 2 << 10
+
+	ctx := context.Background()
+	var log sim.L2Log
+	rec, err := sim.SimulateRecord(ctx, cfg, tr, &log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.Simulate(follower, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Counters.Interrupts != want.Counters.Interrupts+1 {
+		t.Fatalf("the recorder took %d interrupts and the follower %d; the trace no longer walks where the follower does not",
+			rec.Counters.Interrupts, want.Counters.Interrupts)
+	}
+	_, err = sim.ReplayL2(ctx, follower, &log)
+	var div *sim.DivergedError
+	if !errors.As(err, &div) || div.Level != 2 || !errors.Is(err, sim.ErrL2LogRefused) {
+		t.Fatalf("ReplayL2 = %v, want a divergence at the L2 step wrapping ErrL2LogRefused", err)
 	}
 }

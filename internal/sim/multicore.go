@@ -43,6 +43,11 @@ type Multicore struct {
 // kernel, which derives from the base seed so policy decisions are a
 // property of the machine, not of any core.
 func NewMulticore(cfg Config) (*Multicore, error) {
+	return newMulticore(cfg, func(int) *caches { return new(caches) })
+}
+
+// newMulticore is NewMulticore building core c's caches in coreCaches(c).
+func newMulticore(cfg Config, coreCaches func(c int) *caches) (*Multicore, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -63,7 +68,7 @@ func NewMulticore(cfg Config) (*Multicore, error) {
 		coreCfg.Seed = CoreSeed(cfg.Seed, c)
 		// The cluster's driver steps the cores; their own drivers stay
 		// idle.
-		e := assemble(coreCfg, phys, refill, new(caches))
+		e := assemble(coreCfg, phys, refill, coreCaches(c))
 		e.coreID = c
 		m.cores[c] = e
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -437,6 +438,36 @@ func BenchmarkSimulateUltrixGCC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Simulate(Default(VMUltrix), t); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReplayL2Followers measures the replay that most points of a
+// TLB-refilled sweep take: ultrix records gcc at a 1 KB L1, then each op
+// replays two followers with an 8 KB L1, at 64- and 128-byte L2 lines.
+// The log keeps the 8 KB L1's miss stream after the first op, so an op is
+// two L2 replays of it, through stream.pass's loop for logs with no
+// marked access: a check per access there would show here.
+func BenchmarkReplayL2Followers(b *testing.B) {
+	t := tr(b, "gcc", 100000)
+	ctx := context.Background()
+	cfg := Default(VMUltrix)
+	cfg.L1SizeBytes = 1 << 10
+	var log L2Log
+	if _, err := SimulateRecord(ctx, cfg, t, &log); err != nil {
+		b.Fatal(err)
+	}
+	followers := []Config{cfg, cfg}
+	for i, line := range []int{64, 128} {
+		followers[i].L1SizeBytes, followers[i].L2LineBytes = 8<<10, line
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range followers {
+			if _, err := ReplayL2(ctx, f, &log); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -15,8 +15,10 @@ import (
 // Once the worker's arrays, LRU ages and fill lists have the room (after
 // full runs at the largest geometry, direct-mapped and 4-way), a
 // full-engine point allocates the same bytes at a 512 KB L2 as at a
-// 4 MB L2 (16-byte lines: 256 KB against 2 MB of lines per side), and a
+// 4 MB L2 (16-byte lines: 256 KB against 2 MB of lines per side), and so
+// does a 4-core cluster, whose cores build in the worker's arrays too; a
 // follower whose streams have the room allocates only its Result. The
+// full-engine points are notlb with a 2-way L1, which may not share. The
 // collector is off while the sweeps run, so that none of its own
 // allocations lands in a point's count.
 func TestWorkerAllocationFree(t *testing.T) {
@@ -24,6 +26,14 @@ func TestWorkerAllocationFree(t *testing.T) {
 	at := func(vm string, l1, l2, assoc int) sim.Config {
 		c := sim.Default(vm)
 		c.L1SizeBytes, c.L1LineBytes, c.L2SizeBytes, c.L2LineBytes, c.L2Assoc = l1, 16, l2, 16, assoc
+		if vm == sim.VMNoTLB {
+			c.L1Assoc = 2
+		}
+		return c
+	}
+	cluster := func(l2 int) sim.Config {
+		c := at(sim.VMUltrix, 8<<10, l2, 1)
+		c.Cores = 4
 		return c
 	}
 	cfgs := []sim.Config{
@@ -35,7 +45,8 @@ func TestWorkerAllocationFree(t *testing.T) {
 		at(sim.VMUltrix, 1<<10, 4<<20, 1), at(sim.VMUltrix, 1<<10, 4<<20, 4),
 		at(sim.VMUltrix, 8<<10, 1<<20, 1), at(sim.VMUltrix, 8<<10, 2<<20, 1),
 		at(sim.VMUltrix, 8<<10, 4<<20, 1),
-		at(sim.VMBase, 32<<10, 1<<20, 1), // ends point 10's count
+		cluster(4 << 20), cluster(512 << 10), cluster(4 << 20), // 11 warm; 12, 13
+		at(sim.VMBase, 32<<10, 1<<20, 1), // ends point 13's count
 	}
 	// The least of three sweeps, point by point: a channel operation of
 	// the pool now and then allocates a runtime wait record.
@@ -70,10 +81,15 @@ func TestWorkerAllocationFree(t *testing.T) {
 		}
 	}
 	cost := func(i int) (uint64, uint64) { return allocs[i], bytes[i] }
-	sa, sb := cost(2)
-	la, lb := cost(3)
-	if sa != la || sb != lb {
-		t.Errorf("warm full-engine point: %d allocs/%d bytes at a 512 KB L2 but %d/%d at 4 MB", sa, sb, la, lb)
+	for _, pair := range []struct {
+		what         string
+		small, large int
+	}{{"full-engine point", 2, 3}, {"4-core cluster", 12, 13}} {
+		sa, sb := cost(pair.small)
+		la, lb := cost(pair.large)
+		if sa != la || sb != lb {
+			t.Errorf("warm %s: %d allocs/%d bytes at a 512 KB L2 but %d/%d at 4 MB", pair.what, sa, sb, la, lb)
+		}
 	}
 	for _, i := range []int{6, 7, 9, 10} {
 		if n, b := cost(i); n != 1 {

@@ -94,16 +94,19 @@ func benchSweep(b *testing.B, tr *trace.Trace, cfgs []sim.Config) {
 }
 
 // BenchmarkSweepSharedL2 sweeps the figure 6–7 space for ultrix, whose
-// points share L1 stages, and notlb, whose points may not, at 20k
-// references.
+// points share L1 stages across every cache size, and notlb, whose points
+// share them across L1 sizes through verified replays (a diverged
+// follower runs in full and records), at 20k references.
 func BenchmarkSweepSharedL2(b *testing.B) {
 	benchSweep(b, faultTrace(b, 20_000), fig67Configs(sim.VMUltrix, sim.VMNoTLB))
 }
 
 // BenchmarkSweepFig67 sweeps the whole figure 6–7 space — the paper's
-// five organizations with a VMCPI, notlb's 240 full-engine points among
-// them — over a 20k-instruction gcc trace: every kind of point a sweep
-// worker runs (full, recording, replayed) in one worker's arrays.
+// five organizations with a VMCPI, notlb's 240 points among them, 30 of
+// which record and the rest replay verified or, diverged, record — over
+// a 20k-instruction gcc trace: every kind of point a sweep worker runs
+// (recording, replayed, verified, re-recorded) in one worker's arrays,
+// kept from one op to the next.
 func BenchmarkSweepFig67(b *testing.B) {
 	p, err := workload.ByName("gcc")
 	if err != nil {

@@ -16,12 +16,13 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simerr"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // shareConfigs is a sweep that forms one share group: ultrix at two L1
 // sizes, largest first, × three L2 sizes, which runs smallest L1 first
-// (points 3–5, then 0–2; point 3 leads); then a notlb point, which never
-// shares.
+// (points 3–5, then 0–2; point 3 leads); then a notlb point with a 2-way
+// L1, which may not share.
 func shareConfigs() []sim.Config {
 	base := sim.Default(sim.VMUltrix)
 	base.WarmupInstrs = 1_000
@@ -30,7 +31,9 @@ func shareConfigs() []sim.Config {
 		L1Sizes: []int{8 << 10, 4 << 10},
 		L2Sizes: []int{256 << 10, 1 << 20, 2 << 20},
 	}.Configs()
-	return append(cfgs, sim.Default(sim.VMNoTLB))
+	notlb := sim.Default(sim.VMNoTLB)
+	notlb.L1Assoc = 2
+	return append(cfgs, notlb)
 }
 
 // shareRunOrder is the order in which one worker runs shareConfigs.
@@ -114,6 +117,107 @@ func TestShareFollowersReplay(t *testing.T) {
 	}
 	for i := range cfgs {
 		requireSerial(t, pts, want, i)
+	}
+}
+
+// divergedGroup is a notlb share group, L1 sizes largest first, on
+// faultTrace(8_000): run smallest L1 first, the 32 KB point (2) diverges
+// from the 16 KB leader's (3) log, and the 64 KB and 128 KB points (1,
+// 0) diverge from that log too but replay from the 32 KB point's.
+func divergedGroup() []sim.Config {
+	base := sim.Default(sim.VMNoTLB)
+	base.WarmupInstrs = 1_000
+	base.L1LineBytes, base.L2SizeBytes, base.L2LineBytes = 32, 256<<10, 16
+	return Space{Base: base, L1Sizes: []int{128 << 10, 64 << 10, 32 << 10, 16 << 10}}.Configs()
+}
+
+// TestShareDivergedFollowerRecords: a notlb follower whose walks leave
+// the leader's (its log refuses it as diverged) runs in full and records,
+// and the larger L1s after it replay from that recording, not reading
+// the trace. Were they served by the leader's log, they would diverge
+// and read the trace, which is halved when they start.
+func TestShareDivergedFollowerRecords(t *testing.T) {
+	tr := faultTrace(t, 8_000)
+	cfgs := divergedGroup()
+	ctx := context.Background()
+	var log sim.L2Log
+	outcome := func(i int) error {
+		_, err := sim.ReplayL2(ctx, cfgs[i], &log)
+		return err
+	}
+	for _, c := range []struct {
+		rec       int
+		followers []int
+		diverge   bool
+	}{{3, []int{2, 1, 0}, true}, {2, []int{1, 0}, false}} {
+		if _, err := sim.SimulateRecord(ctx, cfgs[c.rec], tr, &log); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range c.followers {
+			var div *sim.DivergedError
+			if err := outcome(f); errors.As(err, &div) != c.diverge || !c.diverge && err != nil {
+				t.Fatalf("%s from the log of %s: %v, diverged want %v", cfgs[f].Label(), cfgs[c.rec].Label(), err, c.diverge)
+			}
+		}
+	}
+	want := serialResults(t, tr, cfgs)
+	pts, err := RunWithOptions(ctx, tr, cfgs, Options{Workers: 1, PointHook: truncateOn(tr, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cfgs {
+		requireSerial(t, pts, want, i)
+	}
+}
+
+// TestVerifiedSharingCounts pins how much of notlb's figure 6–7 space
+// verified sharing serves over the 20k-instruction seed-42 gcc and vortex
+// traces. The space forms 30 groups of 8 per trace; run as a sweep worker
+// runs them (a diverged follower records), at least the recorded number
+// of the 210 followers must replay rather than diverge, and each Result
+// must equal Simulate's. A change that silently sent them to the full
+// engine fails here.
+func TestVerifiedSharingCounts(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		bench   string
+		replays int
+	}{{"gcc", 194}, {"vortex", 206}} {
+		p, err := workload.ByName(tc.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := workload.Generate(p, 42, 20_000)
+		cfgs := fig67Configs(sim.VMNoTLB)
+		groups := shareGroups(cfgs, make([]bool, len(cfgs)))
+		if len(groups) != 30 {
+			t.Fatalf("%s: %d groups, want 30", tc.bench, len(groups))
+		}
+		var log sim.L2Log
+		replays, divergences := 0, 0
+		for _, g := range groups {
+			got, err := sim.SimulateRecord(ctx, cfgs[g[0]], tr, &log)
+			for k, i := range g {
+				if k > 0 {
+					got, err = sim.ReplayL2(ctx, cfgs[i], &log)
+					var div *sim.DivergedError
+					if errors.As(err, &div) {
+						divergences++
+						got, err = sim.SimulateRecord(ctx, cfgs[i], tr, &log)
+					} else {
+						replays++
+					}
+				}
+				want, werr := sim.Simulate(cfgs[i], tr)
+				if err != nil || werr != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %s differs from Simulate (err %v, %v)", tc.bench, cfgs[i].Label(), err, werr)
+				}
+			}
+		}
+		t.Logf("%s: %d followers replayed, %d diverged", tc.bench, replays, divergences)
+		if replays < tc.replays {
+			t.Errorf("%s: %d of %d followers replayed, want at least %d", tc.bench, replays, replays+divergences, tc.replays)
+		}
 	}
 }
 
@@ -316,10 +420,12 @@ func TestShareInvalidFollowerL2(t *testing.T) {
 // whose leader fails before it runs, a point that fails mid-run after
 // filling lines (first-touch exhausting a frame budget), a quarantined
 // panic, then full and replayed points at smaller and larger geometries,
-// set-associative and unified ones among them. Every point that succeeds
-// must equal a fresh Simulate.
+// set-associative and unified ones among them, a notlb group whose
+// followers diverge and record, and 2- and 4-core clusters between
+// single-core points. It sweeps them twice, on two traces, so the second
+// call's worker starts with the first call's log. Every point that
+// succeeds must equal a fresh Simulate.
 func TestWorkerCarriesNoState(t *testing.T) {
-	tr := faultTrace(t, 8_000)
 	at := func(vm string, l1, l1Line, l2, l2Line int, mutate ...func(*sim.Config)) sim.Config {
 		c := sim.Default(vm)
 		c.WarmupInstrs = 1_000
@@ -341,6 +447,8 @@ func TestWorkerCarriesNoState(t *testing.T) {
 	budget := func(c *sim.Config) { c.MemFrames = 24 }
 	unified := func(c *sim.Config) { c.UnifiedCaches = true }
 	fourWay := func(c *sim.Config) { c.L2Assoc = 4 }
+	cores := func(n int) func(*sim.Config) { return func(c *sim.Config) { c.Cores = n } }
+	lru := func(c *sim.Config) { c.OSPolicy, c.MemFrames = "lru", 256 }
 	var cfgs []sim.Config
 	add := func(cs ...sim.Config) (first int) {
 		first = len(cfgs)
@@ -351,41 +459,50 @@ func TestWorkerCarriesNoState(t *testing.T) {
 	add(group(sim.VMUltrix, []int{8 << 10, 1 << 10}, 16, []int{4 << 20, 1 << 20}, 16)...)
 	failed := add(group(sim.VMIntel, []int{2 << 10}, 32, []int{1 << 20, 2 << 20}, 64)...)
 	exhausted := add(at(sim.VMUltrix, 64<<10, 16, 4<<20, 16, budget))
+	add(at(sim.VMUltrix, 8<<10, 16, 2<<20, 16, cores(2)))
 	panicked := add(at(sim.VMNoTLB, 16<<10, 32, 2<<20, 32))
 	add(at(sim.VMNoTLB, 1<<10, 64, 256<<10, 128))
+	add(divergedGroup()...)
 	add(group(sim.VMMach, []int{128 << 10, 4 << 10}, 16, []int{8 << 20, 512 << 10}, 16)...)
+	add(at(sim.VMIntel, 4<<10, 32, 1<<20, 32, cores(4), lru))
 	add(at(sim.VMPARISC, 32<<10, 32, 8<<20, 32, fourWay))
 	add(group(sim.VMPARISC, []int{64 << 10, 1 << 10}, 32, []int{256 << 10, 4 << 20}, 64, fourWay)...)
 	add(group(sim.VMUltrix, []int{2 << 10, 16 << 10}, 16, []int{1 << 20, 4 << 20}, 16, unified)...)
 	add(at(sim.VMNoTLB, 2<<10, 16, 512<<10, 16, unified))
 	add(at(sim.VMBase, 64<<10, 64, 4<<20, 64))
 
-	pts, err := RunWithOptions(context.Background(), tr, cfgs, Options{
-		Workers:   1,
-		PointHook: chain(faults.FailFirst(failed, 99, nil), faults.PanicOn(panicked)),
-	})
+	p, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(pts[failed].Err, faults.ErrInjected) {
-		t.Fatalf("failed leader: err %v, want ErrInjected", pts[failed].Err)
-	}
-	if err := pts[exhausted].Err; simerr.Category(err) != "mem" {
-		t.Fatalf("first-touch under %d frames: err %v, want category mem", cfgs[exhausted].MemFrames, err)
-	}
-	if !errors.Is(pts[panicked].Err, simerr.ErrInternalPanic) {
-		t.Fatalf("panicking point: err %v, want ErrInternalPanic", pts[panicked].Err)
-	}
-	for i, cfg := range cfgs {
-		if i == failed || i == exhausted || i == panicked {
-			continue
-		}
-		want, err := sim.Simulate(cfg, tr)
+	for _, tr := range []*trace.Trace{faultTrace(t, 8_000), workload.Generate(p, 7, 8_000)} {
+		pts, err := RunWithOptions(context.Background(), tr, cfgs, Options{
+			Workers:   1,
+			PointHook: chain(faults.FailFirst(failed, 99, nil), faults.PanicOn(panicked)),
+		})
 		if err != nil {
-			t.Fatalf("Simulate(%s): %v", cfg.Label(), err)
+			t.Fatal(err)
 		}
-		if pts[i].Err != nil || !reflect.DeepEqual(pts[i].Result, want) {
-			t.Errorf("point %d (%s) differs from a fresh Simulate (err %v)", i, cfg.Label(), pts[i].Err)
+		if !errors.Is(pts[failed].Err, faults.ErrInjected) {
+			t.Fatalf("%s: failed leader: err %v, want ErrInjected", tr.Name, pts[failed].Err)
+		}
+		if err := pts[exhausted].Err; simerr.Category(err) != "mem" {
+			t.Fatalf("%s: first-touch under %d frames: err %v, want category mem", tr.Name, cfgs[exhausted].MemFrames, err)
+		}
+		if !errors.Is(pts[panicked].Err, simerr.ErrInternalPanic) {
+			t.Fatalf("%s: panicking point: err %v, want ErrInternalPanic", tr.Name, pts[panicked].Err)
+		}
+		for i, cfg := range cfgs {
+			if i == failed || i == exhausted || i == panicked {
+				continue
+			}
+			want, err := sim.Simulate(cfg, tr)
+			if err != nil {
+				t.Fatalf("Simulate(%s): %v", cfg.Label(), err)
+			}
+			if pts[i].Err != nil || !reflect.DeepEqual(pts[i].Result, want) {
+				t.Errorf("%s: point %d (%s) differs from a fresh Simulate (err %v)", tr.Name, i, cfg.Label(), pts[i].Err)
+			}
 		}
 	}
 }

@@ -96,13 +96,17 @@ type Options struct {
 // with cfgs. The trace is shared read-only across workers.
 //
 // Memory: a sweep holds one copy of the trace (shared by every worker)
-// plus, per worker, one L2 log that lives for the whole call: one set of
-// cache arrays, sized by the largest geometry the worker has run (a
-// 4 MB L2 of 16-byte lines is 2 MB per side), in which every single-core
-// engine and replay of the worker builds its caches; the live engine's
-// TLBs and page tables; and at most three streams of 16 bytes per access
-// that leaves an L1 (DESIGN.md §8). Peak memory is O(trace + workers),
-// not O(configurations). Results are two small structs per point.
+// plus, per worker, one L2 log: one set of cache arrays per simulated
+// core, sized by the largest geometry run in them (a 4 MB L2 of 16-byte
+// lines is 2 MB per side), in which every engine, cluster core and
+// replay of the worker builds its caches; the live engine's TLBs and
+// page tables; and at most three streams of 16 bytes per access that
+// leaves an L1 (DESIGN.md §8). Logs outlive the call in a list of idle
+// logs, so the next sweep's workers start with arrays that have the
+// room: the process keeps one log per worker of its widest sweep so far,
+// each holding the arrays of the largest geometry it ran (16 MB for a
+// 16 MB L2 of 16-byte lines). Peak memory is O(trace + workers), not
+// O(configurations). Results are two small structs per point.
 func Run(tr *trace.Trace, cfgs []sim.Config, workers int) []Point {
 	return RunContext(context.Background(), tr, cfgs, workers)
 }
@@ -291,25 +295,33 @@ func RunWithOptions(ctx context.Context, tr *trace.Trace, cfgs []sim.Config, opt
 	// points shares its L1 stage: the first point, the smallest L1,
 	// records the accesses its run sends past its L1s into the worker's
 	// log, and every later point replays that log through its own cache
-	// geometry — or, when the leader failed, runs the full engine. Every
-	// single-core point a worker runs, full, recording or replayed,
-	// builds its caches in the arrays its log holds. Each point keeps
-	// its own attempt loop, Duration, journal record and PointDone call.
+	// geometry — or, when the leader failed, runs the full engine. A
+	// follower the log refuses (a notlb or spur follower whose walks leave
+	// the recording's) runs in full and records, so the larger L1s after
+	// it replay from its run. Every point a worker runs, full, recording
+	// or replayed, builds its caches in the arrays its log holds. Each
+	// point keeps its own attempt loop, Duration, journal record and
+	// PointDone call.
 	var wg sync.WaitGroup
 	next := make(chan []int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var log sim.L2Log
+			log := takeLog()
+			defer putLog(log)
 			full := func(pctx context.Context, cfg sim.Config) (*sim.Result, error) {
-				return sim.SimulateIn(pctx, cfg, tr, &log)
+				return sim.SimulateIn(pctx, cfg, tr, log)
 			}
 			lead := func(pctx context.Context, cfg sim.Config) (*sim.Result, error) {
-				return sim.SimulateRecord(pctx, cfg, tr, &log)
+				return sim.SimulateRecord(pctx, cfg, tr, log)
 			}
 			replay := func(pctx context.Context, cfg sim.Config) (*sim.Result, error) {
-				return sim.ReplayL2(pctx, cfg, &log)
+				res, err := sim.ReplayL2(pctx, cfg, log)
+				if errors.Is(err, sim.ErrL2LogRefused) {
+					return sim.SimulateRecord(pctx, cfg, tr, log)
+				}
+				return res, err
 			}
 			for g := range next {
 				run := full
@@ -369,6 +381,44 @@ dispatch:
 
 // simulateFunc runs one simulation attempt of a point.
 type simulateFunc func(ctx context.Context, cfg sim.Config) (*sim.Result, error)
+
+// idleLogs keeps sweep workers' logs, with their cache arrays and stream
+// buffers, from one RunWithOptions call to the next: a worker takes one
+// when it starts and puts it back when it exits, so repeated sweeps (a
+// campaign's traces, a server's jobs) reuse arrays that already have the
+// room instead of growing new ones geometry by geometry. The list keeps
+// its logs for the life of the process: at most as many as the most
+// workers that ever ran at once, each the size of the largest geometry
+// it ran. A sync.Pool, whose per-processor slots a worker started on
+// another processor cannot reach, and a list emptied at each garbage
+// collection both had workers grow new logs beside dropped or stranded
+// ones, which raised the peak resident set more (PERFORMANCE.md).
+var idleLogs struct {
+	sync.Mutex
+	logs []*sim.L2Log
+}
+
+// takeLog returns the most recently idle log, with its recording
+// forgotten (it may have been made on another trace), or a new one.
+func takeLog() *sim.L2Log {
+	idleLogs.Lock()
+	defer idleLogs.Unlock()
+	n := len(idleLogs.logs)
+	if n == 0 {
+		return new(sim.L2Log)
+	}
+	log := idleLogs.logs[n-1]
+	idleLogs.logs = idleLogs.logs[:n-1]
+	log.Forget()
+	return log
+}
+
+// putLog makes log idle.
+func putLog(log *sim.L2Log) {
+	idleLogs.Lock()
+	idleLogs.logs = append(idleLogs.logs, log)
+	idleLogs.Unlock()
+}
 
 // shareGroups partitions the points still to simulate into dispatch
 // units, ordered by their first index: the points that sim.ShareKey maps
