@@ -3,6 +3,7 @@ package check
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -48,15 +49,17 @@ func withUncached(tr *trace.Trace) *trace.Trace {
 // every registered machine, under each cache/TLB variant and on a
 // uniprogram and a multiprogrammed trace, each L1 size in turn records
 // (under a different L2 geometry each time) and every configuration of
-// its key at that L1 size or larger replays the log, in
-// sim.CompareShared's order and in reverse. Each Result — leader's and
-// followers' — must be reflect.DeepEqual to sim.Simulate's. A walker that
-// started branching on a cache outcome would make a follower's replayed
-// walk differ from its own and fail here. Machines whose refill runs on
-// user L2 misses (notlb, spur) share only with a direct-mapped L1, so
-// they skip the 2-way L1 variant, and their followers may instead be
-// refused as diverged; each of them must both replay and diverge at least
-// once across the pin.
+// its key at that L1 size or larger replays the log, in reverse and then
+// in sim.CompareShared's order. Each Result — leader's and followers' —
+// must be reflect.DeepEqual to a fresh engine's. A walker that started
+// branching on a cache outcome would make a follower's replayed walk
+// differ from its own and fail here. Machines whose refill runs on user
+// L2 misses (notlb, spur) share only with a direct-mapped L1, so they
+// skip the 2-way L1 variant, and their followers may instead be refused
+// as diverged. In the second pass every diverged follower resumes
+// (sim.Rerecord), as a sweep worker runs it, and the larger L1s after it
+// replay from its run; each such machine must replay, diverge and resume
+// past reference 0 at least once across the pin.
 func TestL2ShareMatchesSimulate(t *testing.T) {
 	const n = 24_000
 	uni := genTrace(t, "gcc", n)
@@ -112,9 +115,11 @@ func TestL2ShareMatchesSimulate(t *testing.T) {
 					shareLockstep(t, ctx, &log, vm, v.name, v.mutate, tr, verified, &n)
 				}
 			}
-			t.Logf("%d followers replayed, %d diverged", n.replayed, n.diverged)
-			if verified && (n.replayed == 0 || n.diverged == 0) {
-				t.Errorf("%d followers replayed and %d diverged; the pin must see both", n.replayed, n.diverged)
+			t.Logf("%d followers replayed, %d diverged, %d resumed (%d past reference 0)",
+				n.replayed, n.diverged, n.resumed, n.resumedLate)
+			if verified && (n.replayed == 0 || n.diverged == 0 || n.resumedLate == 0) {
+				t.Errorf("%d followers replayed, %d diverged and %d resumed past reference 0; the pin must see each",
+					n.replayed, n.diverged, n.resumedLate)
 			}
 		})
 	}
@@ -123,12 +128,28 @@ func TestL2ShareMatchesSimulate(t *testing.T) {
 	}
 }
 
-// shareCounts tallies a sharing pin's followers by outcome.
-type shareCounts struct{ replayed, diverged int }
+// shareCounts tallies a sharing pin's followers by outcome: replayed,
+// diverged, and of the diverged, resumed, and resumed past reference 0.
+type shareCounts struct{ replayed, diverged, resumed, resumedLate int }
+
+// freshRun is the reference every shared run must equal: a new engine,
+// in cache arrays of its own, run over tr.
+func freshRun(t *testing.T, cfg sim.Config, tr *trace.Trace) *sim.Result {
+	t.Helper()
+	e, err := sim.NewEngine(cfg)
+	if err != nil {
+		t.Fatalf("NewEngine(%s): %v", cfg.Label(), err)
+	}
+	res, err := e.Run(tr)
+	if err != nil {
+		t.Fatalf("%s: Run(%s): %v", tr.Name, cfg.Label(), err)
+	}
+	return res
+}
 
 // shareLockstep is one variant and trace of TestL2ShareMatchesSimulate.
 // A follower of a verified log (verified: the machine walks on user L2
-// misses) may be refused as diverged instead of matching.
+// misses) may be refused as diverged; in the second pass it then resumes.
 func shareLockstep(t *testing.T, ctx context.Context, log *sim.L2Log, vm, variant string, mutate func(*sim.Config), tr *trace.Trace, verified bool, n *shareCounts) {
 	t.Helper()
 	g := len(shareGeometries)
@@ -140,11 +161,7 @@ func shareLockstep(t *testing.T, ctx context.Context, log *sim.L2Log, vm, varian
 			mutate(&c)
 			c.L1SizeBytes = l1
 			c.L2SizeBytes, c.L2LineBytes, c.L2Assoc = geom.size, geom.line, geom.assoc
-			res, err := sim.Simulate(c, tr)
-			if err != nil {
-				t.Fatalf("%s/%s: Simulate(%s): %v", variant, tr.Name, c.Label(), err)
-			}
-			cfgs, want = append(cfgs, c), append(want, res)
+			cfgs, want = append(cfgs, c), append(want, freshRun(t, c, tr))
 		}
 	}
 	if want[0].Counters == want[1].Counters || want[0].Counters == want[g].Counters {
@@ -154,7 +171,7 @@ func shareLockstep(t *testing.T, ctx context.Context, log *sim.L2Log, vm, varian
 		lead := k*g + k%g
 		got, err := sim.SimulateRecord(ctx, cfgs[lead], tr, log)
 		if err != nil || !reflect.DeepEqual(got, want[lead]) {
-			t.Fatalf("%s/%s: leader %s differs from Simulate (err %v):\n got %+v\nwant %+v",
+			t.Fatalf("%s/%s: leader %s differs from a fresh engine (err %v):\n got %+v\nwant %+v",
 				variant, tr.Name, cfgs[lead].Label(), err, got, want[lead])
 		}
 		key, _ := sim.ShareKey(cfgs[lead])
@@ -164,19 +181,27 @@ func shareLockstep(t *testing.T, ctx context.Context, log *sim.L2Log, vm, varian
 				followers = append(followers, f)
 			}
 		}
-		slices.SortStableFunc(followers, func(a, b int) int { return sim.CompareShared(cfgs[a], cfgs[b]) })
-		for range 2 {
+		slices.SortStableFunc(followers, func(a, b int) int { return sim.CompareShared(cfgs[b], cfgs[a]) })
+		for pass := range 2 {
 			for _, f := range followers {
 				got, err := sim.ReplayL2(ctx, cfgs[f], log)
 				var div *sim.DivergedError
-				switch {
-				case verified && errors.As(err, &div):
+				if verified && errors.As(err, &div) {
 					n.diverged++
-				case err != nil || !reflect.DeepEqual(got, want[f]):
-					t.Fatalf("%s/%s: follower %s of leader %s differs from Simulate (err %v):\n got %+v\nwant %+v",
-						variant, tr.Name, cfgs[f].Label(), cfgs[lead].Label(), err, got, want[f])
-				default:
+					if pass == 0 {
+						continue // the reverse pass keeps the leader's log
+					}
+					n.resumed++
+					if div.From > 0 {
+						n.resumedLate++
+					}
+					got, err = sim.Rerecord(ctx, cfgs[f], tr, log, err)
+				} else {
 					n.replayed++
+				}
+				if err != nil || !reflect.DeepEqual(got, want[f]) {
+					t.Fatalf("%s/%s: follower %s of leader %s differs from a fresh engine (err %v, diverged %v):\n got %+v\nwant %+v",
+						variant, tr.Name, cfgs[f].Label(), cfgs[lead].Label(), err, div, got, want[f])
 				}
 			}
 			slices.Reverse(followers)
@@ -282,7 +307,8 @@ func TestL2ShareRefused(t *testing.T) {
 // L2 loses x, the follower's keeps it. When x is fetched again it misses
 // both L1s; the recorder misses its L2 and walks, the follower hits and
 // does not. Only the L2-step check sees this, and without it the
-// follower would replay the recorder's walk.
+// follower would replay the recorder's walk. Resumed, the follower must
+// equal a fresh engine.
 func TestL2ShareVerifiesL2Outcomes(t *testing.T) {
 	// The page 0x401000 puts x's L2 set (address bits 6–15) on that of
 	// the user handler's code at addr.HandlerPC(6), page 0xff0b1000.
@@ -312,10 +338,7 @@ func TestL2ShareVerifiesL2Outcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Simulate(follower, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := freshRun(t, follower, tr)
 	if rec.Counters.Interrupts != want.Counters.Interrupts+1 {
 		t.Fatalf("the recorder took %d interrupts and the follower %d; the trace no longer walks where the follower does not",
 			rec.Counters.Interrupts, want.Counters.Interrupts)
@@ -324,5 +347,113 @@ func TestL2ShareVerifiesL2Outcomes(t *testing.T) {
 	var div *sim.DivergedError
 	if !errors.As(err, &div) || div.Level != 2 || !errors.Is(err, sim.ErrL2LogRefused) {
 		t.Fatalf("ReplayL2 = %v, want a divergence at the L2 step wrapping ErrL2LogRefused", err)
+	}
+	if got, err := sim.Rerecord(ctx, follower, tr, &log, err); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed follower differs from a fresh engine (err %v)", err)
+	}
+}
+
+// resumeTrace is a hand-built trace of n references of address space 1
+// on which, for notlb and spur with 16-byte L1 lines and one 64 KB L2 of
+// 64-byte lines, a 2 KB L1 follower of a 1 KB L1 recorder diverges at
+// reference p. Every reference fetches line f, which both L1s keep,
+// except for a gadget that ends at p: the user line x, then y, which
+// evicts x from the 1 KB L1 only, then z, which evicts x from the L2
+// only, then x again at p, which misses the recorder's L1 and L2, so the
+// recorder walks, and hits the follower's L1. Every 500th reference
+// before the gadget fetches g, which evicts f from the 1 KB L1 only, so
+// the recorder pays L1 misses on f that the follower does not. No line
+// shares an L1 or L2 set with the handler code notlb fetches.
+func resumeTrace(n, p int) *trace.Trace {
+	const (
+		f = 0x500200 // 1 KB L1 set 32, 2 KB set 32, L2 set 8
+		g = 0x500600 // 1 KB L1 set 32, 2 KB set 96, L2 set 24
+		x = 0x4000a0 // 1 KB L1 set 10, 2 KB set 10, L2 set 2
+		y = 0x4004a0 // 1 KB L1 set 10, 2 KB set 74, L2 set 18
+		z = 0x4100b0 // L1 set 11 in both, L2 set 2
+	)
+	refs := make([]trace.Ref, n)
+	for i := range refs {
+		pc := uint64(f)
+		switch {
+		case i == p-3 || i == p:
+			pc = x
+		case i == p-2:
+			pc = y
+		case i == p-1:
+			pc = z
+		case i < p-3 && i%500 == 250:
+			pc = g
+		}
+		refs[i] = trace.Ref{PC: pc, ASID: 1}
+	}
+	return &trace.Trace{Name: fmt.Sprintf("resume-%d-at-%d", n, p), Refs: refs}
+}
+
+// TestResumeAtCheckpoints pins where a diverged notlb or spur follower
+// resumes, on hand-built traces (resumeTrace) that place the divergence
+// in segment 0, exactly at a checkpoint, in the last partial segment,
+// and before, at and after the warm boundary. The follower must be
+// refused as diverged with From the last checkpoint before the
+// divergence, and its run must resume there and equal a fresh engine's,
+// also when every reference before the one ahead of the checkpoint is
+// replaced: a resume reads none of them. A larger L1 then replays from
+// the resumed recording, or resumes from it in turn, and must equal a
+// fresh engine's too.
+func TestResumeAtCheckpoints(t *testing.T) {
+	const seg = 4096
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name       string
+		n, p, warm int
+	}{
+		{"segment-0", 10_000, 2_000, 1_000},
+		{"at-checkpoint", 10_000, seg, 1_000},
+		{"last-partial-segment", 3*seg + 700, 3*seg + 300, 1_000},
+		{"before-warm", 4 * seg, 6_000, 2 * seg},
+		{"at-warm", 4 * seg, 2 * seg, 2 * seg},
+		{"after-warm", 4 * seg, 9_000, 5_000},
+		{"resume-at-warm", 4 * seg, 9_000, 2 * seg},
+	} {
+		tr := resumeTrace(tc.n, tc.p)
+		from := tc.p / seg * seg
+		replaced := &trace.Trace{Name: tr.Name, Refs: slices.Clone(tr.Refs)}
+		for i := range max(from-1, 0) {
+			replaced.Refs[i].PC = 0x600000 + uint64(i)*64
+		}
+		for _, vm := range []string{sim.VMNoTLB, sim.VMSPUR} {
+			t.Run(tc.name+"/"+vm, func(t *testing.T) {
+				cfg := sim.Default(vm)
+				cfg.WarmupInstrs = tc.warm
+				cfg.L1LineBytes, cfg.L2SizeBytes, cfg.L2LineBytes = 16, 64<<10, 64
+				cfgs := []sim.Config{cfg, cfg, cfg}
+				for i, l1 := range []int{1 << 10, 2 << 10, 4 << 10} {
+					cfgs[i].L1SizeBytes = l1
+				}
+				var log sim.L2Log
+				if got, err := sim.SimulateRecord(ctx, cfgs[0], tr, &log); err != nil || !reflect.DeepEqual(got, freshRun(t, cfgs[0], tr)) {
+					t.Fatalf("recording differs from a fresh engine (err %v)", err)
+				}
+				_, refusal := sim.ReplayL2(ctx, cfgs[1], &log)
+				var div *sim.DivergedError
+				if !errors.As(refusal, &div) || div.From != from {
+					t.Fatalf("ReplayL2 = %v, want a divergence resuming from reference %d", refusal, from)
+				}
+				got, err := sim.Rerecord(ctx, cfgs[1], replaced, &log, refusal)
+				if want := freshRun(t, cfgs[1], tr); err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("resumed run differs from a fresh engine (err %v):\n got %+v\nwant %+v", err, got, want)
+				}
+				if log.Resumed() != from {
+					t.Fatalf("the resumed run started at reference %d, want %d", log.Resumed(), from)
+				}
+				got, err = sim.ReplayL2(ctx, cfgs[2], &log)
+				if errors.Is(err, sim.ErrL2LogRefused) {
+					got, err = sim.Rerecord(ctx, cfgs[2], tr, &log, err)
+				}
+				if want := freshRun(t, cfgs[2], tr); err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("the 4 KB L1 after the resumed recording differs from a fresh engine (err %v)", err)
+				}
+			})
+		}
 	}
 }

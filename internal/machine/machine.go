@@ -365,6 +365,12 @@ func (s *Spec) validateRefill() error {
 		}
 		return nil
 	}
+	// Every walker but the disjunct table's fills the TLB it finds the
+	// mapping for, which a cache-miss-triggered machine lacks.
+	if s.Refill.Trigger == TriggerCacheMiss && s.PageTable.Kind != PTDisjunctTwoTier {
+		return fmt.Errorf("page_table: trigger %q walks only %q, whose walker fills no TLB; got %q",
+			TriggerCacheMiss, PTDisjunctTwoTier, s.PageTable.Kind)
+	}
 	// The buildable (page table × refill kind) combinations, mirroring
 	// mmu.Build's dispatch table.
 	switch s.PageTable.Kind {

@@ -59,6 +59,17 @@ func TestBundledRoundTrip(t *testing.T) {
 	}
 }
 
+// cacheMissWalking turns a spec into a TLB-less, cache-miss-triggered
+// machine whose refill kind walks the page table pt, with every cost set.
+func cacheMissWalking(pt, kind string) func(*Spec) {
+	return func(s *Spec) {
+		s.TLB.Levels = nil
+		s.Refill = RefillSpec{Kind: kind, Trigger: TriggerCacheMiss}
+		s.PageTable.Kind = pt
+		s.Costs = CostSpec{UserHandlerInstrs: 10, KernelHandlerInstrs: 20, RootHandlerInstrs: 20, WalkCycles: 7, MappedWalkCycles: 7}
+	}
+}
+
 // TestValidateRejections is the rejection table: every way a spec can be
 // inconsistent, with the diagnostic each should produce.
 func TestValidateRejections(t *testing.T) {
@@ -111,6 +122,11 @@ func TestValidateRejections(t *testing.T) {
 			s.Costs = CostSpec{WalkCycles: 7}
 		}, "software handler only"},
 		{"disjunct-tlb-trigger", func(s *Spec) { s.PageTable.Kind = PTDisjunctTwoTier }, "no-TLB"},
+		{"cachemiss-two-tier-bottomup", cacheMissWalking(PTTwoTierBottomUp, RefillSoftware), "fills no TLB"},
+		{"cachemiss-three-tier-bottomup", cacheMissWalking(PTThreeTierBottomUp, RefillSoftware), "fills no TLB"},
+		{"cachemiss-two-tier-topdown", cacheMissWalking(PTTwoTierTopDown, RefillHardware), "fills no TLB"},
+		{"cachemiss-hashed-inverted", cacheMissWalking(PTHashedInverted, RefillSoftware), "fills no TLB"},
+		{"cachemiss-clustered", cacheMissWalking(PTClustered, RefillSoftware), "fills no TLB"},
 		{"pt-none-with-refill", func(s *Spec) {
 			s.PageTable.Kind = PTNone
 			s.Costs = CostSpec{}

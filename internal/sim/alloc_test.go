@@ -2,7 +2,11 @@ package sim
 
 import (
 	"context"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/stats"
@@ -191,5 +195,70 @@ func TestL2ReplayAllocationFree(t *testing.T) {
 				t.Errorf("four followers on a warm log allocate %.1f objects, want <= 4 (their Results)", warm)
 			}
 		})
+	}
+}
+
+// TestSimulateBuildsInIdleLogs pins Simulate's reuse of idle logs: runs
+// that leave the kept arrays in other states — a 16 MB L2 of 16-byte
+// lines, a 4-core cluster, a kernel-attached point — come between plain
+// points, and every Result must equal a fresh engine's or cluster's
+// (NewEngine or NewMulticore, then Run). Once warm, a Simulate grows no
+// cache arrays: it allocates the same bytes at a 4 MB L2 as at a 512 KB
+// one, where a fresh engine would grow 4 MB of lines.
+func TestSimulateBuildsInIdleLogs(t *testing.T) {
+	tr := tr(t, "gcc", 20_000)
+	at := func(vm string, l2 int, mutate func(*Config)) Config {
+		c := Default(vm)
+		c.L2SizeBytes, c.L2LineBytes = l2, 16
+		mutate(&c)
+		return c
+	}
+	none := func(*Config) {}
+	huge := at(VMUltrix, 16<<20, none)
+	cluster := at(VMIntel, 1<<20, func(c *Config) { c.Cores = 4 })
+	kernel := at(VMUltrix, 2<<20, func(c *Config) { c.OSPolicy, c.MemFrames = "lru", 256 })
+	small, large := at(VMNoTLB, 512<<10, none), at(VMNoTLB, 4<<20, none)
+	for _, cfg := range []Config{huge, small, cluster, large, kernel, small, huge, cluster, large} {
+		got, err := Simulate(cfg, tr)
+		if err != nil {
+			t.Fatalf("Simulate(%s): %v", cfg.Label(), err)
+		}
+		m, err := newMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.RunContext(context.Background(), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Simulate(%s) differs from a fresh machine:\n got %+v\nwant %+v", cfg.Label(), got, want)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	grown := func(cfg Config) uint64 {
+		least := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Simulate(cfg, tr); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	if s, l := grown(small), grown(large); s != l {
+		t.Errorf("a warm Simulate allocates %d bytes at a 512 KB L2 but %d at 4 MB", s, l)
+	}
+}
+
+// TestAccessEntrySize pins a logged access at 16 bytes: a verified log's
+// checkpoint segment sits in what was the entry's padding, so no stream
+// grew when checkpoints came in.
+func TestAccessEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(access{}); n != 16 {
+		t.Fatalf("a logged access takes %d bytes, want 16", n)
 	}
 }

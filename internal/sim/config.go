@@ -394,16 +394,25 @@ func (c Config) validate() error {
 // L2: the only fields in which configurations sharing an L1 stage differ
 // (see ShareKey).
 func (c Config) validateCaches() error {
-	if err := validateCache(cache.Config{SizeBytes: c.L1SizeBytes, LineBytes: c.L1LineBytes, Assoc: c.L1Assoc}); err != nil {
+	if err := validateCache(c.geometry(atL1)); err != nil {
 		return fmt.Errorf("sim: L1: %w", err)
 	}
-	if err := validateCache(cache.Config{SizeBytes: c.L2SizeBytes, LineBytes: c.L2LineBytes, Assoc: c.L2Assoc}); err != nil {
+	if err := validateCache(c.geometry(atL2)); err != nil {
 		return fmt.Errorf("sim: L2: %w", err)
 	}
 	if c.L2SizeBytes < c.L1SizeBytes {
 		return fmt.Errorf("sim: L2 (%d) smaller than L1 (%d)", c.L2SizeBytes, c.L1SizeBytes)
 	}
 	return nil
+}
+
+// geometry returns the configured geometry of cache level lvl (atL1 or
+// atL2).
+func (c Config) geometry(lvl int) cache.Config {
+	if lvl == atL2 {
+		return cache.Config{SizeBytes: c.L2SizeBytes, LineBytes: c.L2LineBytes, Assoc: c.L2Assoc}
+	}
+	return cache.Config{SizeBytes: c.L1SizeBytes, LineBytes: c.L1LineBytes, Assoc: c.L1Assoc}
 }
 
 // validateCache checks one cache's geometry, size cap included.

@@ -192,8 +192,7 @@ type caches [2]cache.Hierarchy
 // assemble wires caches, TLBs, and the walker into an Engine, resetting
 // cs for cfg's cache geometry and building the hierarchies in it.
 func assemble(cfg Config, phys *mem.Phys, refill mmu.Refill, cs *caches) *Engine {
-	l1cfg := cache.Config{SizeBytes: cfg.L1SizeBytes, LineBytes: cfg.L1LineBytes, Assoc: cfg.L1Assoc}
-	l2cfg := cache.Config{SizeBytes: cfg.L2SizeBytes, LineBytes: cfg.L2LineBytes, Assoc: cfg.L2Assoc}
+	l1cfg, l2cfg := cfg.geometry(atL1), cfg.geometry(atL2)
 	e := &Engine{
 		cfg:    cfg,
 		phys:   phys,
@@ -374,18 +373,24 @@ func (e *Engine) shootdown(p oskernel.Page) {
 
 // span replays refs, which lie inside one phase and one sampling
 // interval, through runPhase — or, under CheckInvariants, one reference
-// at a time through step, so a violation is pinned to its reference.
+// at a time through step, so a violation is pinned to its reference. A
+// verified recording replays in pieces that end at every checkpoint
+// (L2Log.recordSpan).
 func (e *Engine) span(refs []trace.Ref, pos int) error {
-	if !e.cfg.CheckInvariants {
-		e.runPhase(refs)
-		return e.kernErr
-	}
-	for i := range refs {
-		if err := e.step(&refs[i], pos+i); err != nil {
-			return err
+	if e.cfg.CheckInvariants {
+		for i := range refs {
+			if err := e.step(&refs[i], pos+i); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	return nil
+	if e.l2log != nil && e.l2log.verified {
+		e.l2log.recordSpan(e, refs, pos)
+	} else {
+		e.runPhase(refs)
+	}
+	return e.kernErr
 }
 
 // runPhase replays refs through the machine within one warmup/live phase
@@ -791,18 +796,19 @@ func (e *Engine) Interrupt() {
 
 // Simulate is the one-call convenience: build the machine cfg calls for
 // — the multicore cluster when Cores > 1, the single-core engine
-// otherwise — and run it over tr.
+// otherwise — and run it over tr. It builds in the arrays of an idle log
+// (TakeLog, SimulateIn) and puts the log back, so repeated calls grow no
+// new cache arrays once one log has the room; its Result equals a fresh
+// engine's (NewEngine or NewMulticore, then Run).
 func Simulate(cfg Config, tr *trace.Trace) (*Result, error) {
 	return SimulateContext(context.Background(), cfg, tr)
 }
 
 // SimulateContext is Simulate with cooperative cancellation: the run
 // aborts with an error wrapping simerr.ErrCancelled shortly after ctx
-// is done. The sweep pool uses this to impose per-point deadlines.
+// is done.
 func SimulateContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, error) {
-	m, err := newMachine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return m.RunContext(ctx, tr)
+	log := TakeLog()
+	defer PutLog(log)
+	return SimulateIn(ctx, cfg, tr, log)
 }

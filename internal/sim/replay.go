@@ -192,10 +192,24 @@ func (d *driver) Run(tr *trace.Trace) (*Result, error) {
 // the context's cause. An un-cancelled RunContext is bit-identical to
 // Run: span ends change no counter.
 func (d *driver) RunContext(ctx context.Context, tr *trace.Trace) (*Result, error) {
+	return d.runFrom(ctx, tr, 0)
+}
+
+// runFrom is RunContext for a machine whose state the caller has already
+// brought to reference pos of tr: it replays the references from pos on,
+// still warming, at the warmup boundary or measuring, as a run from the
+// start would stand there. A run resumed past the boundary does not
+// restart the TLB statistics or arm sampling there; the only machine
+// resumed that way, a verified recording's (share.go), has neither.
+func (d *driver) runFrom(ctx context.Context, tr *trace.Trace, pos int) (*Result, error) {
 	if err := d.Begin(tr); err != nil {
 		return nil, err
 	}
-	if err := d.feed(ctx, tr.Refs); err != nil {
+	if d.pos = pos; pos > d.warm {
+		d.measuring = true
+		d.m.setLive(true)
+	}
+	if err := d.feed(ctx, tr.Refs[pos:]); err != nil {
 		return nil, err
 	}
 	return d.end(tr.Name), nil

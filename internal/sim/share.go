@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/machine"
@@ -21,16 +23,18 @@ import (
 // L1-miss stream (ReplayL2). An organization that walks on user L2 misses
 // shares only across L1 sizes, and only while the follower's caches answer
 // every access that steered the recorder's walks as the recorder's did: a
-// verified replay. DESIGN.md §8 states the invariant and the reason for
-// each eligibility rule.
+// verified replay. A follower whose replay diverges resumes from the
+// recording's last checkpoint before the divergence (Rerecord) and becomes
+// the group's new recording. DESIGN.md §8 states the invariant and the
+// reason for each eligibility rule.
 
 // ErrL2LogRefused reports a ReplayL2 whose log cannot serve the
 // configuration: the log was recorded under another share key or at a
 // larger L1, its recording failed, the configuration may not share at
 // all, or, for a verified log, the follower's walks leave the recorder's
 // (a *DivergedError, which wraps it). The caller runs the full engine
-// instead: a sweep worker records that run, so the larger L1s after a
-// diverged follower replay from it.
+// instead: a sweep worker records that run (Rerecord), so the larger L1s
+// after a refused follower replay from it.
 var ErrL2LogRefused = errors.New("sim: L2 log does not serve this configuration")
 
 // DivergedError is ReplayL2's refusal of a follower of a verified log —
@@ -38,12 +42,19 @@ var ErrL2LogRefused = errors.New("sim: L2 log does not serve this configuration"
 // spur) — at the first marked access whose outcome in the follower's
 // caches differs from the recorder's: from that access on the follower
 // would walk where the recorder did not, or not walk where it did, so
-// its access stream leaves the log. It wraps ErrL2LogRefused.
+// its access stream leaves the log. It wraps ErrL2LogRefused. The log
+// holds the error ReplayL2 returns, so that a divergence allocates
+// nothing; the log's next divergence overwrites it.
 type DivergedError struct {
 	// Level is the cache level, 1 or 2, whose outcome differed, and
-	// Access the index of that access in the stream the level replayed:
-	// the recorded L1-miss stream at level 1, the follower's own at 2.
+	// Access the index of that access in the stream the follower sent
+	// through its L1s: the recording, or the L1-miss stream of a smaller
+	// L1 derived from it.
 	Level, Access int
+	// From is the trace index of the recording's last checkpoint before
+	// the diverged access. Up to there the follower's run is the
+	// recorder's, and Rerecord resumes it there.
+	From int
 }
 
 func (e *DivergedError) Error() string {
@@ -124,15 +135,22 @@ const (
 	atL2
 )
 
+// checkpointRefs is the spacing, in references, of a verified
+// recording's checkpoints: a diverged follower resumes from the last one
+// before its divergence.
+const checkpointRefs = 4096
+
 // access is one access the engine sent past an L1 hit: the address, the
 // components a miss charges at each level (atL1, atL2), the side
 // (instruction or data; one cache serves both under UnifiedCaches), and,
-// in a verified log, its mark. It is 16 bytes.
+// in a verified log, its mark and its segment, the index of the last
+// checkpoint before the reference that made it. It is 16 bytes.
 type access struct {
 	addr  uint64
 	comp  [2]uint8
 	dside bool
 	mark  uint8
+	seg   uint32
 }
 
 // Marks of a verified log's accesses: the recorder's L2 outcome of an
@@ -148,38 +166,33 @@ const (
 
 // stream is an access stream that one cache level let through: its
 // accesses, the index of the first one in the measured window, and that
-// window's misses at the level per component. verified is set on a
-// verified log's streams, which hold marked accesses.
+// window's misses at the level per component.
 type stream struct {
-	acc      []access
-	live     int
-	misses   [stats.NumComponents]uint64
-	verified bool
+	acc    []access
+	live   int
+	misses [stats.NumComponents]uint64
 }
 
-// pass sends s through the caches (instruction side, data side; the same
-// cache when unified) and returns the measured window's misses per
-// component charged at lvl. When out is non-nil it also receives the
-// accesses that missed, as the stream the next level sees. A verified
-// stream's marked accesses are held to the recording (passVerified); any
-// other stream replays through a loop that checks no access, since
-// TLB-refilled followers are most of a sweep's points. Cancellation is
-// polled as RunContext polls it.
+// pass sends s, a stream with no marked access, through the caches
+// (instruction side, data side; the same cache when unified) and returns
+// the measured window's misses per component charged at lvl. When out is
+// non-nil it also receives the accesses that missed, as the stream the
+// next level sees; out may be s itself, since a filter writes at or below
+// the index it reads. The loop checks no access: TLB-refilled followers
+// are most of a sweep's points. Cancellation is polled as RunContext
+// polls it.
 func (s *stream) pass(ctx context.Context, il, dl *cache.Cache, lvl int, out *stream) ([stats.NumComponents]uint64, error) {
-	if s.verified {
-		return s.passVerified(ctx, il, dl, lvl, out)
-	}
 	var misses [stats.NumComponents]uint64
+	acc, live := s.acc, s.live
 	if out != nil {
-		out.acc, out.live, out.verified = out.acc[:0], 0, false
+		out.acc, out.live = out.acc[:0], 0
 	}
 	done := ctx.Done()
-	for i := range s.acc {
+	for i := range acc {
 		if done != nil && i%cancelCheckRefs == 0 && ctx.Err() != nil {
-			return misses, fmt.Errorf("sim: cache replay cancelled at access %d: %w: %w",
-				i, simerr.ErrCancelled, context.Cause(ctx))
+			return misses, errReplayCancelled(ctx, i)
 		}
-		a := &s.acc[i]
+		a := &acc[i]
 		c := il
 		if a.dside {
 			c = dl
@@ -187,11 +200,11 @@ func (s *stream) pass(ctx context.Context, il, dl *cache.Cache, lvl int, out *st
 		if c.Access(a.addr) {
 			continue
 		}
-		if i >= s.live {
+		if i >= live {
 			misses[a.comp[lvl]]++
 		}
 		if out != nil {
-			if i < s.live {
+			if i < live {
 				out.live++
 			}
 			out.acc = append(out.acc, *a)
@@ -203,50 +216,75 @@ func (s *stream) pass(ctx context.Context, il, dl *cache.Cache, lvl int, out *st
 	return misses, nil
 }
 
-// passVerified is pass for a verified stream, which also holds each
-// marked access to the recorder's outcome. At the L1 step an access that
-// missed the recorder's L2 must miss the follower's larger L1; at the L2
-// step an access must get the recorder's L2 answer. The first that does
-// not stops the pass with a *DivergedError. Up to that access the
-// follower's access stream is the recorder's, so its caches' state, and
-// so each outcome checked, is exact.
-func (s *stream) passVerified(ctx context.Context, il, dl *cache.Cache, lvl int, out *stream) ([stats.NumComponents]uint64, error) {
-	var misses [stats.NumComponents]uint64
-	if out != nil {
-		out.acc, out.live, out.verified = out.acc[:0], 0, true
-	}
+// passVerified sends a verified stream through a follower's L1s (il1,
+// dl1) and each access that misses there at once through its L2s (il2,
+// dl2), holding each marked access to the recorder's outcome: one that
+// missed the recorder's L2 must miss the follower's L1, and one that
+// reaches the follower's L2 must get the recorder's answer there. The
+// first that does not stops the pass with a *DivergedError; since both
+// levels are checked in the run's order, it is the first divergence of
+// the run. Up to that access the follower's access stream is the
+// recorder's, so its caches' state, and so each outcome checked, is
+// exact. It returns the measured window's misses at each level, and out
+// (which may be s itself) receives the L1 misses. A divergence is written
+// to div, which the pass returns as its error.
+func (s *stream) passVerified(ctx context.Context, il1, dl1, il2, dl2 *cache.Cache, out *stream, div *DivergedError) (l1, l2 [stats.NumComponents]uint64, err error) {
+	acc, live := s.acc, s.live
+	out.acc, out.live = out.acc[:0], 0
 	done := ctx.Done()
-	for i := range s.acc {
+	for i := range acc {
 		if done != nil && i%cancelCheckRefs == 0 && ctx.Err() != nil {
-			return misses, fmt.Errorf("sim: cache replay cancelled at access %d: %w: %w",
-				i, simerr.ErrCancelled, context.Cause(ctx))
+			return l1, l2, errReplayCancelled(ctx, i)
 		}
-		a := &s.acc[i]
-		c := il
+		a := &acc[i]
+		c1, c2 := il1, il2
 		if a.dside {
-			c = dl
+			c1, c2 = dl1, dl2
 		}
-		hit := c.Access(a.addr)
-		if hit && a.mark == markL2Miss || !hit && lvl == atL2 && a.mark == markL2Hit {
-			return misses, &DivergedError{Level: lvl + 1, Access: i}
-		}
-		if hit {
+		if c1.Access(a.addr) {
+			if a.mark == markL2Miss {
+				*div = DivergedError{Level: 1, Access: i, From: int(a.seg) * checkpointRefs}
+				return l1, l2, div
+			}
 			continue
 		}
-		if i >= s.live {
-			misses[a.comp[lvl]]++
+		hit := c2.Access(a.addr)
+		if hit && a.mark == markL2Miss || !hit && a.mark == markL2Hit {
+			*div = DivergedError{Level: 2, Access: i, From: int(a.seg) * checkpointRefs}
+			return l1, l2, div
 		}
-		if out != nil {
-			if i < s.live {
-				out.live++
+		if i < live {
+			out.live++
+		} else {
+			l1[a.comp[atL1]]++
+			if !hit {
+				l2[a.comp[atL2]]++
 			}
-			out.acc = append(out.acc, *a)
 		}
+		out.acc = append(out.acc, *a)
 	}
-	if out != nil {
-		out.misses = misses
+	out.misses = l1
+	return l1, l2, nil
+}
+
+// errReplayCancelled is a replay's cancellation at access i.
+func errReplayCancelled(ctx context.Context, i int) error {
+	return fmt.Errorf("sim: cache replay cancelled at access %d: %w: %w",
+		i, simerr.ErrCancelled, context.Cause(ctx))
+}
+
+// missCharged returns c with the events and cycles of l1 L1 misses and
+// l2 L2 misses per component added, or, with remove set, taken out.
+func missCharged(c stats.Counters, l1, l2 *[stats.NumComponents]uint64, remove bool) stats.Counters {
+	for i := range l1 {
+		ev, cy := l1[i]+l2[i], l1[i]*stats.L1MissPenalty+l2[i]*stats.L2MissPenalty
+		if remove {
+			ev, cy = -ev, -cy // unsigned: adding the negation subtracts
+		}
+		c.Events[i] += ev
+		c.Cycles[i] += cy
 	}
-	return misses, nil
+	return c
 }
 
 // L2Log is a sweep worker's simulation state: one engine's worth of
@@ -257,14 +295,18 @@ func (s *stream) passVerified(ctx context.Context, il, dl *cache.Cache, lvl int,
 // SimulateIn runs a full engine or cluster in its arrays and ReplayL2
 // replays from it, each resetting the arrays for its own geometry and
 // reusing the log's buffers, so one log per sweep worker serves every
-// point of the sweep, and a log kept across sweeps (Forget) serves the
-// next sweep's points without growing again. The log of a machine that
-// walks on user L2 misses is verified: it marks each access whose L2
-// outcome steered the run, and ReplayL2 holds its followers to those
-// outcomes.
+// point of the sweep, and a log kept across sweeps and runs (TakeLog,
+// PutLog) serves the next ones without growing again. The log of a
+// machine that walks on user L2 misses is verified: it marks each access
+// whose L2 outcome steered the run, ReplayL2 holds its followers to those
+// outcomes, and it keeps a checkpoint every checkpointRefs references,
+// from which Rerecord resumes a diverged follower.
 type L2Log struct {
 	key Config
 	ok  bool
+	// verified is set on the log of a machine that walks on user L2
+	// misses, whose accesses are marked.
+	verified bool
 	// rec is the recorder's L1-miss stream and l1Size its L1 size; its
 	// misses are the recorder's measured-window L1 misses, recL2 its
 	// measured-window L2 misses.
@@ -272,15 +314,25 @@ type L2Log struct {
 	l1Size int
 	recL2  [stats.NumComponents]uint64
 	// base is the recorder's final counters without its measured-window
-	// L1- and L2-miss charges.
+	// L1- and L2-miss charges. cps holds a verified recording's
+	// checkpoints: cps[s] is its counters before reference
+	// s*checkpointRefs, likewise without the charges of its measured-window
+	// L1 and L2 misses so far.
 	base     stats.Counters
+	cps      []stats.Counters
 	chain    float64
 	workload string
+	// from is the reference the recording's engine run started at: 0, or
+	// the checkpoint a resumed follower's run started at. div is the
+	// error of the log's last divergence.
+	from int
+	div  DivergedError
 
 	// l1s is the L1-miss stream at L1 size l1At (0: none yet), derived
-	// from rec through the L1s of cs. l2s is the L2-miss stream of the
-	// direct-mapped L2 l2At names (zero: none), behind the L1 of that
-	// size; followers' L2s replay in the L2s of cs.
+	// through the L1s of cs from rec or, in place, from the kept stream of
+	// a smaller L1. l2s is the L2-miss stream of the direct-mapped L2 l2At
+	// names (zero: none), behind the L1 of that size; followers' L2s
+	// replay in the L2s of cs.
 	l1s  stream
 	l1At int
 	l2s  stream
@@ -294,11 +346,44 @@ type L2Log struct {
 	cores []*caches
 }
 
-// Forget drops the log's recording, keeping its arrays and buffers:
-// ReplayL2 refuses the log until the next successful SimulateRecord. A
-// sweep worker forgets the recording of a log kept from an earlier sweep,
-// which may have been made on another trace.
-func (l *L2Log) Forget() { l.ok = false }
+// idleLogs keeps logs, with their cache arrays and stream buffers, from
+// one use to the next: a sweep worker takes one when it starts and puts
+// it back when it exits, and Simulate takes one for each run, so repeated
+// sweeps and runs (a campaign's traces, a server's jobs, a program's
+// checks) reuse arrays that already have the room instead of growing new
+// ones beside the kept ones. The list keeps its logs for the life of the
+// process: at most as many as the most workers and runs that ever ran at
+// once, each the size of the largest geometry it ran. A sync.Pool, whose
+// per-processor slots a worker started on another processor cannot
+// reach, and a list emptied at each garbage collection both had workers
+// grow new logs beside dropped or stranded ones, which raised the peak
+// resident set more (PERFORMANCE.md).
+var idleLogs struct {
+	sync.Mutex
+	logs []*L2Log
+}
+
+// TakeLog returns the most recently idle log, with its recording
+// forgotten (it may have been made on another trace), or a new one.
+func TakeLog() *L2Log {
+	idleLogs.Lock()
+	defer idleLogs.Unlock()
+	n := len(idleLogs.logs)
+	if n == 0 {
+		return new(L2Log)
+	}
+	log := idleLogs.logs[n-1]
+	idleLogs.logs = idleLogs.logs[:n-1]
+	log.ok = false
+	return log
+}
+
+// PutLog makes log idle; the caller must not use it afterwards.
+func PutLog(log *L2Log) {
+	idleLogs.Lock()
+	idleLogs.logs = append(idleLogs.logs, log)
+	idleLogs.Unlock()
+}
 
 // coreCaches returns the arrays cluster core c builds in.
 func (l *L2Log) coreCaches(c int) *caches {
@@ -318,9 +403,10 @@ type l2Tag struct{ l1, line, size int }
 // add logs one access that left an L1 (lvl is the hierarchy's answer;
 // an L1 hit never reached the L2): its address, the components its L1
 // and L2 misses charge, and its side. live is the engine's phase. In a
-// verified log every access but a handler fetch (l1c HandlerL2) is
-// marked with its L2 outcome. It stays out of line: inlined, its append
-// would grow runPhase's loop, which every unshared run pays for.
+// verified log every access carries its segment, and every access but a
+// handler fetch (l1c HandlerL2) is marked with its L2 outcome. It stays
+// out of line: inlined, its append would grow runPhase's loop, which
+// every unshared run pays for.
 //
 //go:noinline
 func (l *L2Log) add(a uint64, l1c, l2c stats.Component, dside bool, lvl cache.Level, live bool) {
@@ -328,10 +414,13 @@ func (l *L2Log) add(a uint64, l1c, l2c stats.Component, dside bool, lvl cache.Le
 		return
 	}
 	acc := access{addr: a, comp: [2]uint8{uint8(l1c), uint8(l2c)}, dside: dside}
-	if l.rec.verified && l1c != stats.HandlerL2 {
-		acc.mark = markL2Hit
-		if lvl == cache.Memory {
-			acc.mark = markL2Miss
+	if l.verified {
+		acc.seg = uint32(len(l.cps) - 1)
+		if l1c != stats.HandlerL2 {
+			acc.mark = markL2Hit
+			if lvl == cache.Memory {
+				acc.mark = markL2Miss
+			}
 		}
 	}
 	l.rec.acc = append(l.rec.acc, acc)
@@ -345,6 +434,26 @@ func (l *L2Log) add(a uint64, l1c, l2c stats.Component, dside bool, lvl cache.Le
 	}
 }
 
+// recordSpan is Engine.span for the engine e recording a verified log:
+// it replays refs, trace indices pos onward, through runPhase in pieces
+// that end at every checkpoint, and takes the checkpoint there, from the
+// recorder's counters so far. Where a piece ends changes no counter.
+func (l *L2Log) recordSpan(e *Engine, refs []trace.Ref, pos int) {
+	for len(refs) > 0 {
+		if pos%checkpointRefs == 0 {
+			l.cps = append(l.cps, missCharged(e.c, &l.rec.misses, &l.recL2, true))
+		}
+		n := min(len(refs), checkpointRefs-pos%checkpointRefs)
+		e.runPhase(refs[:n])
+		refs, pos = refs[n:], pos+n
+	}
+}
+
+// Resumed returns the trace index at which the engine run of the log's
+// recording started: 0 for SimulateRecord, the divergence's checkpoint
+// for a follower Rerecord resumed.
+func (l *L2Log) Resumed() int { return l.from }
+
 // SimulateRecord is SimulateContext for a configuration ShareKey accepts:
 // it returns exactly SimulateContext's Result and also records into log
 // every access the run sent past an L1 — marked, for a machine that walks
@@ -354,6 +463,7 @@ func (l *L2Log) add(a uint64, l1c, l2c stats.Component, dside bool, lvl cache.Le
 func SimulateRecord(ctx context.Context, cfg Config, tr *trace.Trace, log *L2Log) (*Result, error) {
 	*log = L2Log{
 		rec:   stream{acc: log.rec.acc[:0]},
+		cps:   log.cps[:0],
 		l1s:   stream{acc: log.l1s.acc[:0]},
 		l2s:   stream{acc: log.l2s.acc[:0]},
 		cs:    log.cs,
@@ -367,19 +477,80 @@ func SimulateRecord(ctx context.Context, cfg Config, tr *trace.Trace, log *L2Log
 	if !ok {
 		return nil, fmt.Errorf("sim: %s: %w", cfg.Label(), ErrL2LogRefused)
 	}
-	log.rec.verified = e.noTLBRefill
+	log.verified = e.noTLBRefill
 	e.l2log = log
 	res, err := e.RunContext(ctx, tr)
 	if err != nil {
 		return nil, err
 	}
-	log.key, log.ok, log.l1Size = key, true, cfg.L1SizeBytes
-	log.base = res.Counters
-	for c, n := range log.rec.misses {
-		log.base.Events[c] -= n + log.recL2[c]
-		log.base.Cycles[c] -= n*stats.L1MissPenalty + log.recL2[c]*stats.L2MissPenalty
+	log.keep(key, cfg, res)
+	return res, nil
+}
+
+// keep makes the log serve ReplayL2 as the recording of cfg, whose share
+// key is key and whose run returned res.
+func (l *L2Log) keep(key, cfg Config, res *Result) {
+	l.key, l.ok, l.l1Size = key, true, cfg.L1SizeBytes
+	l.base = missCharged(res.Counters, &l.rec.misses, &l.recL2, true)
+	l.chain, l.workload = res.AvgChainLength, res.Workload
+}
+
+// Rerecord runs cfg, a follower that ReplayL2 refused with refusal, in
+// full and records the run into log as SimulateRecord does, so that the
+// larger L1s after it replay from it. A follower refused as diverged (the
+// *DivergedError ReplayL2 returned) does not start over: its run is the
+// recorder's up to the divergence's checkpoint (From), and the engine of
+// a verified recording holds nothing but its caches and counters, so
+// Rerecord rebuilds those from the recorded accesses before the
+// checkpoint and runs the engine from there on (DESIGN.md §8, part 6).
+// Any other refusal records from reference 0. tr must be the trace the
+// log was recorded from. The Result equals SimulateContext's
+// (reflect.DeepEqual).
+func Rerecord(ctx context.Context, cfg Config, tr *trace.Trace, log *L2Log, refusal error) (*Result, error) {
+	div, ok := refusal.(*DivergedError)
+	if !ok || !log.verified || !log.serves(cfg) || div.From >= len(tr.Refs) || div.From/checkpointRefs >= len(log.cps) {
+		return SimulateRecord(ctx, cfg, tr, log)
 	}
-	log.chain, log.workload = res.AvgChainLength, res.Workload
+	return log.resume(ctx, cfg, tr, div.From)
+}
+
+// resume is Rerecord for a follower of the log's verified recording whose
+// run is the recorder's up to reference from, a checkpoint. It builds the
+// follower's engine in the log's arrays, sends the accesses recorded
+// before from through its L1s and their misses through its L2s, which
+// rebuilds its caches, keeps those misses in place as the start of its
+// own recording and counts their charges, seeds its counters with the
+// checkpoint's plus those charges, and runs the engine from reference
+// from on, recording. The replay checks each marked access as ReplayL2
+// does; a divergence before from means refusal was not the divergence of
+// cfg on this recording, and fails the run.
+func (l *L2Log) resume(ctx context.Context, cfg Config, tr *trace.Trace, from int) (*Result, error) {
+	e, err := newEngine(cfg, &l.cs)
+	if err != nil {
+		return nil, err
+	}
+	s := from / checkpointRefs
+	cp := l.cps[s]
+	n := sort.Search(len(l.rec.acc), func(i int) bool { return int(l.rec.acc[i].seg) >= s })
+	prefix := stream{acc: l.rec.acc[:n], live: min(l.rec.live, n)}
+	l.ok, l.cps, l.l1At, l.l2At = false, l.cps[:s], 0, l2Tag{}
+	_, l.recL2, err = prefix.passVerified(ctx, e.icache.L1(), e.dcache.L1(), e.icache.L2(), e.dcache.L2(), &l.rec, &l.div)
+	if errors.Is(err, ErrL2LogRefused) {
+		// Formatted, not wrapped: the log's next divergence reuses l.div.
+		return nil, fmt.Errorf("sim: %s: resume at reference %d: %v", cfg.Label(), from, err)
+	} else if err != nil {
+		return nil, err
+	}
+	e.c = missCharged(cp, &l.rec.misses, &l.recL2, false)
+	if from > 0 {
+		e.curASID = tr.Refs[from-1].ASID
+	}
+	e.l2log, l.from = l, from
+	res, err := e.runFrom(ctx, tr, from)
+	if err != nil {
+		return nil, err
+	}
+	l.keep(l.key, cfg, res)
 	return res, nil
 }
 
@@ -406,69 +577,110 @@ func SimulateIn(ctx context.Context, cfg Config, tr *trace.Trace, log *L2Log) (*
 // ReplayL2 returns cfg's Result from a log recorded under cfg's share
 // key at an L1 no larger than cfg's, by replaying the log through caches
 // of cfg's geometry alone: the log's own, reset for it. A larger
-// (direct-mapped) L1 sees only the recorded L1 misses, and a
-// direct-mapped L2 of a TLB-refilled machine only the misses of the
-// smallest L2 of its line already replayed behind the same L1; by
-// inclusion the accesses left out hit and change no state. A verified
-// log's follower replays its whole L1-miss stream at the L2 and is
-// refused with a *DivergedError at its first marked access whose outcome
-// differs from the recorder's. The Result equals SimulateContext's
-// (reflect.DeepEqual). A log that cannot serve cfg is refused with
-// ErrL2LogRefused. The recording run validated every field cfg shares
-// with it, so cfg's own validation is its cache geometry's: an invalid
-// one fails exactly as Simulate fails. Calls on one log must not
-// overlap. Cancellation is polled as RunContext polls it.
+// (direct-mapped) L1 sees only the L1 misses of the next smaller L1
+// replayed, and a direct-mapped L2 of a TLB-refilled machine only the
+// misses of the smallest L2 of its line already replayed behind the same
+// L1; by inclusion the accesses left out hit and change no state. A
+// verified log's follower sends its whole L1-miss stream to its L2s and
+// is refused with a *DivergedError at its first marked access whose
+// outcome differs from the recorder's. The Result equals
+// SimulateContext's (reflect.DeepEqual). A log that cannot serve cfg is
+// refused with ErrL2LogRefused. The recording run validated every field
+// cfg shares with it, so cfg's own validation is its cache geometry's:
+// an invalid one fails exactly as Simulate fails. Calls on one log must
+// not overlap. Cancellation is polled as RunContext polls it.
 func ReplayL2(ctx context.Context, cfg Config, log *L2Log) (*Result, error) {
-	if key, ok := cfg.shareKey(log.rec.verified); !log.ok || !ok || key != log.key || cfg.L1SizeBytes < log.l1Size {
+	if !log.serves(cfg) {
 		return nil, fmt.Errorf("sim: %s: %w", cfg.Label(), ErrL2LogRefused)
 	}
 	if err := classifyInvalid(cfg.validateCaches()); err != nil {
 		return nil, err
 	}
-	l1, err := log.l1Stream(ctx, cfg)
+	replay := log.replay
+	if log.verified {
+		replay = log.follow
+	}
+	l1, l2, err := replay(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	l2misses, err := log.l2Misses(ctx, cfg, l1)
-	if err != nil {
-		return nil, err
-	}
-	c := log.base
-	for comp, n := range l1.misses {
-		c.Events[comp] += n + l2misses[comp]
-		c.Cycles[comp] += n*stats.L1MissPenalty + l2misses[comp]*stats.L2MissPenalty
-	}
-	return &Result{Config: cfg, Workload: log.workload, Counters: c, AvgChainLength: log.chain}, nil
+	return &Result{Config: cfg, Workload: log.workload, Counters: missCharged(log.base, &l1, &l2, false), AvgChainLength: log.chain}, nil
 }
 
-// sides resets the level-lvl caches of the log's hierarchies for geom,
-// one cache when unified, and returns the instruction and data sides.
-func (l *L2Log) sides(lvl int, geom cache.Config, unified bool) (il, dl *cache.Cache) {
+// serves reports whether the log holds a recording cfg may replay: one
+// made under cfg's share key at an L1 no larger than cfg's.
+func (l *L2Log) serves(cfg Config) bool {
+	key, ok := cfg.shareKey(l.verified)
+	return l.ok && ok && key == l.key && cfg.L1SizeBytes >= l.l1Size
+}
+
+// sides resets the level-lvl caches of the log's hierarchies for cfg's
+// geometry, one cache when unified, and returns the instruction and data
+// sides.
+func (l *L2Log) sides(lvl int, cfg Config) (il, dl *cache.Cache) {
 	level := (*cache.Hierarchy).L1
 	if lvl == atL2 {
 		level = (*cache.Hierarchy).L2
 	}
 	il, dl = level(&l.cs[0]), level(&l.cs[0])
-	il.Reset(geom)
-	if !unified {
+	il.Reset(cfg.geometry(lvl))
+	if !cfg.UnifiedCaches {
 		dl = level(&l.cs[1])
-		dl.Reset(geom)
+		dl.Reset(cfg.geometry(lvl))
 	}
 	return il, dl
 }
 
+// l1Source returns the stream a follower's L1 step filters: the kept
+// L1-miss stream when it was derived at an L1 no larger than cfg's, which
+// by inclusion holds every access cfg's L1 misses, and otherwise the
+// recording.
+func (l *L2Log) l1Source(cfg Config) *stream {
+	if l.l1At != 0 && l.l1At <= cfg.L1SizeBytes {
+		return &l.l1s
+	}
+	return &l.rec
+}
+
+// replay is ReplayL2 for a log with no marked access: the L1 step, then
+// the L2 step. It returns the measured window's misses at each level.
+func (l *L2Log) replay(ctx context.Context, cfg Config) (l1, l2 [stats.NumComponents]uint64, err error) {
+	s, err := l.l1Stream(ctx, cfg)
+	if err != nil {
+		return l1, l2, err
+	}
+	l2, err = l.l2Misses(ctx, cfg, s)
+	return s.misses, l2, err
+}
+
+// follow is ReplayL2 for a verified log: one pass (passVerified) sends
+// the follower's L1 source through its L1s and their misses through its
+// L2s, and keeps its L1-miss stream for the larger L1s after it.
+func (l *L2Log) follow(ctx context.Context, cfg Config) (l1, l2 [stats.NumComponents]uint64, err error) {
+	src := l.l1Source(cfg)
+	l.l1At = 0
+	il1, dl1 := l.sides(atL1, cfg)
+	il2, dl2 := l.sides(atL2, cfg)
+	if l1, l2, err = src.passVerified(ctx, il1, dl1, il2, dl2, &l.l1s, &l.div); err == nil {
+		l.l1At = cfg.L1SizeBytes
+	}
+	return l1, l2, err
+}
+
 // l1Stream returns the L1-miss stream at cfg's L1 size: the recorded one,
 // or the one it leaves through a direct-mapped L1 of that size, derived
-// once per size.
+// once per size from the stream l1Source names. A failed or cancelled
+// derivation leaves no kept stream, so the next one starts from the
+// recording.
 func (l *L2Log) l1Stream(ctx context.Context, cfg Config) (*stream, error) {
 	if cfg.L1SizeBytes == l.l1Size {
 		return &l.rec, nil
 	}
 	if l.l1At != cfg.L1SizeBytes {
+		src := l.l1Source(cfg)
 		l.l1At = 0
-		geom := cache.Config{SizeBytes: cfg.L1SizeBytes, LineBytes: cfg.L1LineBytes, Assoc: cfg.L1Assoc}
-		il, dl := l.sides(atL1, geom, cfg.UnifiedCaches)
-		if _, err := l.rec.pass(ctx, il, dl, atL1, &l.l1s); err != nil {
+		il, dl := l.sides(atL1, cfg)
+		if _, err := src.pass(ctx, il, dl, atL1, &l.l1s); err != nil {
 			return nil, err
 		}
 		l.l1At = cfg.L1SizeBytes
@@ -478,17 +690,12 @@ func (l *L2Log) l1Stream(ctx context.Context, cfg Config) (*stream, error) {
 
 // l2Misses replays l1, the L1-miss stream at cfg's L1 size, through L2s
 // of cfg's geometry and returns their measured-window misses. A
-// direct-mapped L2 of a TLB-refilled machine replays the kept L2-miss
-// stream when one of its line and no larger size exists behind the same
-// L1, and otherwise keeps its own misses for the larger ones after it. A
-// verified stream always replays in full and keeps nothing: a kept
-// L2-miss stream leaves out the L2 hits the check must see, and a
-// verified log's followers share one L2 geometry, one per L1 size, so no
-// later follower could use it.
+// direct-mapped L2 replays the kept L2-miss stream when one of its line
+// and no larger size exists behind the same L1, and otherwise keeps its
+// own misses for the larger ones after it.
 func (l *L2Log) l2Misses(ctx context.Context, cfg Config, l1 *stream) ([stats.NumComponents]uint64, error) {
-	geom := cache.Config{SizeBytes: cfg.L2SizeBytes, LineBytes: cfg.L2LineBytes, Assoc: cfg.L2Assoc}
-	il, dl := l.sides(atL2, geom, cfg.UnifiedCaches)
-	if cfg.L2Assoc > 1 || l1.verified {
+	il, dl := l.sides(atL2, cfg)
+	if cfg.L2Assoc > 1 {
 		return l1.pass(ctx, il, dl, atL2, nil)
 	}
 	if at := l.l2At; at.l1 == cfg.L1SizeBytes && at.line == cfg.L2LineBytes && at.size <= cfg.L2SizeBytes {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -46,8 +47,13 @@ func TestWorkerAllocationFree(t *testing.T) {
 		at(sim.VMUltrix, 8<<10, 1<<20, 1), at(sim.VMUltrix, 8<<10, 2<<20, 1),
 		at(sim.VMUltrix, 8<<10, 4<<20, 1),
 		cluster(4 << 20), cluster(512 << 10), cluster(4 << 20), // 11 warm; 12, 13
-		at(sim.VMBase, 32<<10, 1<<20, 1), // ends point 13's count
 	}
+	// A notlb share group in its run order: 14 records, 15 diverges and
+	// resumes, 16 and 17 replay from 15's recording.
+	group := divergedGroup()
+	slices.Reverse(group)
+	cfgs = append(cfgs, group...)
+	cfgs = append(cfgs, at(sim.VMBase, 32<<10, 1<<20, 1)) // ends point 17's count
 	// The least of three sweeps, point by point: a channel operation of
 	// the pool now and then allocates a runtime wait record.
 	allocs := make([]uint64, len(cfgs)-1)
@@ -91,9 +97,15 @@ func TestWorkerAllocationFree(t *testing.T) {
 			t.Errorf("warm %s: %d allocs/%d bytes at a 512 KB L2 but %d/%d at 4 MB", pair.what, sa, sb, la, lb)
 		}
 	}
-	for _, i := range []int{6, 7, 9, 10} {
+	for _, i := range []int{6, 7, 9, 10, 16, 17} {
 		if n, b := cost(i); n != 1 {
 			t.Errorf("warm follower %d (%s) allocates %d objects (%d bytes), want 1 (its Result)", i, cfgs[i].Label(), n, b)
 		}
+	}
+	ra, rb := cost(14)
+	fa, fb := cost(15)
+	t.Logf("warm recording: %d allocs/%d bytes; warm resumed follower: %d/%d", ra, rb, fa, fb)
+	if fa > ra || fb > rb {
+		t.Errorf("warm resumed follower allocates %d objects/%d bytes, more than a warm recording's %d/%d", fa, fb, ra, rb)
 	}
 }

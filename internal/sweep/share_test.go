@@ -39,14 +39,33 @@ func shareConfigs() []sim.Config {
 // shareRunOrder is the order in which one worker runs shareConfigs.
 var shareRunOrder = []int{3, 4, 5, 0, 1, 2, 6}
 
-// serialResults simulates every configuration on its own.
+// fresh runs cfg over tr on a new engine, or a new cluster when
+// cfg.Cores > 1, in cache arrays of its own: the reference a point run
+// in a worker's reused arrays, recorded, replayed or resumed must equal.
+func fresh(cfg sim.Config, tr *trace.Trace) (*sim.Result, error) {
+	if cfg.Cores > 1 {
+		m, err := sim.NewMulticore(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return m.Run(tr)
+	}
+	e, err := sim.NewEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(tr)
+}
+
+// serialResults simulates every configuration on its own, on a fresh
+// engine.
 func serialResults(t *testing.T, tr *trace.Trace, cfgs []sim.Config) []*sim.Result {
 	t.Helper()
 	out := make([]*sim.Result, len(cfgs))
 	for i, cfg := range cfgs {
-		res, err := sim.Simulate(cfg, tr)
+		res, err := fresh(cfg, tr)
 		if err != nil {
-			t.Fatalf("Simulate(%s): %v", cfg.Label(), err)
+			t.Fatalf("%s: %v", cfg.Label(), err)
 		}
 		out[i] = res
 	}
@@ -132,7 +151,8 @@ func divergedGroup() []sim.Config {
 }
 
 // TestShareDivergedFollowerRecords: a notlb follower whose walks leave
-// the leader's (its log refuses it as diverged) runs in full and records,
+// the leader's (its log refuses it as diverged) runs in full, resumed
+// from the leader's last checkpoint before the divergence, and records,
 // and the larger L1s after it replay from that recording, not reading
 // the trace. Were they served by the leader's log, they would diverge
 // and read the trace, which is halved when they start.
@@ -173,16 +193,23 @@ func TestShareDivergedFollowerRecords(t *testing.T) {
 // TestVerifiedSharingCounts pins how much of notlb's figure 6–7 space
 // verified sharing serves over the 20k-instruction seed-42 gcc and vortex
 // traces. The space forms 30 groups of 8 per trace; run as a sweep worker
-// runs them (a diverged follower records), at least the recorded number
-// of the 210 followers must replay rather than diverge, and each Result
-// must equal Simulate's. A change that silently sent them to the full
-// engine fails here.
+// runs them (a diverged follower resumes and records), at least the
+// recorded number of the 210 followers must replay rather than diverge,
+// the resumed runs must simulate exactly the recorded number of
+// references, and each Result must equal a fresh engine's. A change that
+// silently sent followers to the full engine, or resumed runs back to
+// reference 0, fails here.
 func TestVerifiedSharingCounts(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
-		bench   string
-		replays int
-	}{{"gcc", 194}, {"vortex", 206}} {
+		bench            string
+		replays, resumed int
+	}{
+		// Re-recorded from reference 0, the 16 and 4 diverged followers
+		// would simulate 320,000 and 80,000 references.
+		{"gcc", 194, 115_200},
+		{"vortex", 206, 51_328},
+	} {
 		p, err := workload.ByName(tc.bench)
 		if err != nil {
 			t.Fatal(err)
@@ -194,7 +221,7 @@ func TestVerifiedSharingCounts(t *testing.T) {
 			t.Fatalf("%s: %d groups, want 30", tc.bench, len(groups))
 		}
 		var log sim.L2Log
-		replays, divergences := 0, 0
+		replays, divergences, resumed := 0, 0, 0
 		for _, g := range groups {
 			got, err := sim.SimulateRecord(ctx, cfgs[g[0]], tr, &log)
 			for k, i := range g {
@@ -203,20 +230,25 @@ func TestVerifiedSharingCounts(t *testing.T) {
 					var div *sim.DivergedError
 					if errors.As(err, &div) {
 						divergences++
-						got, err = sim.SimulateRecord(ctx, cfgs[i], tr, &log)
+						got, err = sim.Rerecord(ctx, cfgs[i], tr, &log, err)
+						resumed += tr.Len() - log.Resumed()
 					} else {
 						replays++
 					}
 				}
-				want, werr := sim.Simulate(cfgs[i], tr)
+				want, werr := fresh(cfgs[i], tr)
 				if err != nil || werr != nil || !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: %s differs from Simulate (err %v, %v)", tc.bench, cfgs[i].Label(), err, werr)
+					t.Fatalf("%s: %s differs from a fresh engine (err %v, %v)", tc.bench, cfgs[i].Label(), err, werr)
 				}
 			}
 		}
-		t.Logf("%s: %d followers replayed, %d diverged", tc.bench, replays, divergences)
+		t.Logf("%s: %d followers replayed, %d diverged, whose resumed runs simulated %d references",
+			tc.bench, replays, divergences, resumed)
 		if replays < tc.replays {
 			t.Errorf("%s: %d of %d followers replayed, want at least %d", tc.bench, replays, replays+divergences, tc.replays)
+		}
+		if resumed != tc.resumed {
+			t.Errorf("%s: the resumed runs simulated %d references, want %d", tc.bench, resumed, tc.resumed)
 		}
 	}
 }
@@ -424,7 +456,7 @@ func TestShareInvalidFollowerL2(t *testing.T) {
 // followers diverge and record, and 2- and 4-core clusters between
 // single-core points. It sweeps them twice, on two traces, so the second
 // call's worker starts with the first call's log. Every point that
-// succeeds must equal a fresh Simulate.
+// succeeds must equal a fresh engine's (NewEngine or NewMulticore).
 func TestWorkerCarriesNoState(t *testing.T) {
 	at := func(vm string, l1, l1Line, l2, l2Line int, mutate ...func(*sim.Config)) sim.Config {
 		c := sim.Default(vm)
@@ -496,12 +528,12 @@ func TestWorkerCarriesNoState(t *testing.T) {
 			if i == failed || i == exhausted || i == panicked {
 				continue
 			}
-			want, err := sim.Simulate(cfg, tr)
+			want, err := fresh(cfg, tr)
 			if err != nil {
-				t.Fatalf("Simulate(%s): %v", cfg.Label(), err)
+				t.Fatalf("%s: %v", cfg.Label(), err)
 			}
 			if pts[i].Err != nil || !reflect.DeepEqual(pts[i].Result, want) {
-				t.Errorf("%s: point %d (%s) differs from a fresh Simulate (err %v)", tr.Name, i, cfg.Label(), pts[i].Err)
+				t.Errorf("%s: point %d (%s) differs from a fresh engine (err %v)", tr.Name, i, cfg.Label(), pts[i].Err)
 			}
 		}
 	}

@@ -100,13 +100,15 @@ type Options struct {
 // core, sized by the largest geometry run in them (a 4 MB L2 of 16-byte
 // lines is 2 MB per side), in which every engine, cluster core and
 // replay of the worker builds its caches; the live engine's TLBs and
-// page tables; and at most three streams of 16 bytes per access that
-// leaves an L1 (DESIGN.md §8). Logs outlive the call in a list of idle
-// logs, so the next sweep's workers start with arrays that have the
-// room: the process keeps one log per worker of its widest sweep so far,
-// each holding the arrays of the largest geometry it ran (16 MB for a
-// 16 MB L2 of 16-byte lines). Peak memory is O(trace + workers), not
-// O(configurations). Results are two small structs per point.
+// page tables; at most three streams of 16 bytes per access that leaves
+// an L1; and, for notlb and spur, a checkpoint of 344 bytes per 4,096
+// references (DESIGN.md §8). Logs outlive the call in sim's list of idle
+// logs (sim.TakeLog, sim.PutLog), so the next sweep's workers start with
+// arrays that have the room: the process keeps one log per worker of its
+// widest sweep so far, each holding the arrays of the largest geometry
+// it ran (16 MB for a 16 MB L2 of 16-byte lines). Peak memory is
+// O(trace + workers), not O(configurations). Results are two small
+// structs per point.
 func Run(tr *trace.Trace, cfgs []sim.Config, workers int) []Point {
 	return RunContext(context.Background(), tr, cfgs, workers)
 }
@@ -297,19 +299,20 @@ func RunWithOptions(ctx context.Context, tr *trace.Trace, cfgs []sim.Config, opt
 	// log, and every later point replays that log through its own cache
 	// geometry — or, when the leader failed, runs the full engine. A
 	// follower the log refuses (a notlb or spur follower whose walks leave
-	// the recording's) runs in full and records, so the larger L1s after
-	// it replay from its run. Every point a worker runs, full, recording
-	// or replayed, builds its caches in the arrays its log holds. Each
-	// point keeps its own attempt loop, Duration, journal record and
-	// PointDone call.
+	// the recording's) runs in full and records (sim.Rerecord, which
+	// resumes a diverged one from the recording's last checkpoint before
+	// the divergence), so the larger L1s after it replay from its run.
+	// Every point a worker runs, full, recording or replayed, builds its
+	// caches in the arrays its log holds. Each point keeps its own attempt
+	// loop, Duration, journal record and PointDone call.
 	var wg sync.WaitGroup
 	next := make(chan []int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			log := takeLog()
-			defer putLog(log)
+			log := sim.TakeLog()
+			defer sim.PutLog(log)
 			full := func(pctx context.Context, cfg sim.Config) (*sim.Result, error) {
 				return sim.SimulateIn(pctx, cfg, tr, log)
 			}
@@ -319,7 +322,7 @@ func RunWithOptions(ctx context.Context, tr *trace.Trace, cfgs []sim.Config, opt
 			replay := func(pctx context.Context, cfg sim.Config) (*sim.Result, error) {
 				res, err := sim.ReplayL2(pctx, cfg, log)
 				if errors.Is(err, sim.ErrL2LogRefused) {
-					return sim.SimulateRecord(pctx, cfg, tr, log)
+					return sim.Rerecord(pctx, cfg, tr, log, err)
 				}
 				return res, err
 			}
@@ -381,44 +384,6 @@ dispatch:
 
 // simulateFunc runs one simulation attempt of a point.
 type simulateFunc func(ctx context.Context, cfg sim.Config) (*sim.Result, error)
-
-// idleLogs keeps sweep workers' logs, with their cache arrays and stream
-// buffers, from one RunWithOptions call to the next: a worker takes one
-// when it starts and puts it back when it exits, so repeated sweeps (a
-// campaign's traces, a server's jobs) reuse arrays that already have the
-// room instead of growing new ones geometry by geometry. The list keeps
-// its logs for the life of the process: at most as many as the most
-// workers that ever ran at once, each the size of the largest geometry
-// it ran. A sync.Pool, whose per-processor slots a worker started on
-// another processor cannot reach, and a list emptied at each garbage
-// collection both had workers grow new logs beside dropped or stranded
-// ones, which raised the peak resident set more (PERFORMANCE.md).
-var idleLogs struct {
-	sync.Mutex
-	logs []*sim.L2Log
-}
-
-// takeLog returns the most recently idle log, with its recording
-// forgotten (it may have been made on another trace), or a new one.
-func takeLog() *sim.L2Log {
-	idleLogs.Lock()
-	defer idleLogs.Unlock()
-	n := len(idleLogs.logs)
-	if n == 0 {
-		return new(sim.L2Log)
-	}
-	log := idleLogs.logs[n-1]
-	idleLogs.logs = idleLogs.logs[:n-1]
-	log.Forget()
-	return log
-}
-
-// putLog makes log idle.
-func putLog(log *sim.L2Log) {
-	idleLogs.Lock()
-	idleLogs.logs = append(idleLogs.logs, log)
-	idleLogs.Unlock()
-}
 
 // shareGroups partitions the points still to simulate into dispatch
 // units, ordered by their first index: the points that sim.ShareKey maps
